@@ -81,7 +81,9 @@ def main() -> None:
 
     snapshot = engine.metrics.snapshot()
     print(f"  batch size histogram: {snapshot['batches']['size_histogram']}")
-    print(f"  cache hit rate:       {snapshot['cache']['hit_rate']:.2f}")
+    cache = snapshot["cache"]
+    print(f"  cache exact/similar/miss: {cache['exact_hits']}/"
+          f"{cache['similar_hits']}/{cache['misses']}")
     print(f"  requests ok/failed:   {snapshot['requests']['ok']}"
           f"/{snapshot['requests']['failed']}")
 

@@ -23,8 +23,8 @@ Two entry points:
   the projected attack, the standard trick for keeping the inner
   maximization differentiable.
 
-Both always run the eager autograd path — compiled tape replay has no
-input-gradient channel, so attack steps never touch it.
+Both take input gradients from the eager autograd engine, the only
+execution path.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Rule ``lock-order`` — a global lock-acquisition order, no blocking under locks.
 
-The serving stack holds five long-lived locks (engine cache lock,
-``ServeMetrics._lock``, ``FleetDispatcher._lock``, ``CompiledModel``'s
-RLock, ``SimilarityIndex``'s RLock) and they are acquired from HTTP
-handler threads, the micro-batcher worker, the dispatch loop, and the
-rollout coordinator concurrently.  Two invariants keep that safe:
+The serving stack holds four long-lived locks (engine cache lock,
+``ServeMetrics._lock``, ``FleetDispatcher._lock``, ``SimilarityIndex``'s
+RLock) and they are acquired from HTTP handler threads, the
+micro-batcher worker, the dispatch loop, and the rollout coordinator
+concurrently.  Two invariants keep that safe:
 
 * **Acyclic acquisition order.**  If thread 1 takes A then B while
   thread 2 takes B then A, the fleet deadlocks under load and only

@@ -178,16 +178,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             weight=args.attack_weight,
         )
         print(f"Adversarial training: {args.attack_steps}-step inner PGD, "
-              f"epsilon={args.attack_epsilon}, weight={args.attack_weight} "
-              "(eager path)")
+              f"epsilon={args.attack_epsilon}, weight={args.attack_weight}")
     print(f"Training on {len(train)} samples "
           f"({dataset.num_classes} families, {args.epochs} epochs)...")
     history = magic.fit(
         train.acfgs,
         validation.acfgs,
         TrainingConfig(epochs=args.epochs, batch_size=10,
-                       learning_rate=3e-3, compiled=args.compiled,
-                       seed=args.seed, adversarial=adversarial),
+                       learning_rate=3e-3, seed=args.seed, adversarial=adversarial),
     )
     report = magic.evaluate(validation.acfgs)
     print(report.format_table())
@@ -210,8 +208,6 @@ def _serving_engine(args: argparse.Namespace):
 
     kwargs = {
         "max_vertices": args.max_vertices,
-        "compiled": args.compiled,
-        "infer_dtype": args.infer_dtype,
         "similar_threshold": args.similar_threshold,
     }
     if args.cache_size is not None:
@@ -241,11 +237,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     """
     engine = _serving_engine(args)
     samples = []
-    for path in args.listings:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            samples.append((path, handle.read()))
-    results = engine.classify_texts(samples)
     status = 0
+    for path in args.listings:
+        try:
+            with open(path, "r", encoding="utf-8", errors="replace") as handle:
+                samples.append((path, handle.read()))
+        except OSError as exc:
+            print(f"FAILED {path}: {exc}", file=sys.stderr)
+            status = 1
+    results = engine.classify_texts(samples)
     for result in results:
         if result.failure is not None:
             print(f"FAILED {result.name} [{result.failure.kind.value}]: "
@@ -346,8 +346,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_vertices=args.max_vertices,
             similar_threshold=args.similar_threshold,
             fingerprint_iterations=args.fingerprint_iterations,
-            compiled=args.compiled,
-            infer_dtype=args.infer_dtype,
             **fleet_kwargs,
         )
         server = build_fleet_server(
@@ -695,7 +693,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             else:
                 with open(path, "r", encoding="utf-8", errors="replace") as fh:
                     acfg = magic.acfg_from_asm(fh.read(), name=path)
-        except MagicError as exc:
+        except (MagicError, OSError) as exc:
             print(f"FAILED {path}: {exc}", file=sys.stderr)
             status = 1
             continue
@@ -762,16 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "this registry root")
     p_train.add_argument("--model-name",
                          help="registry model name (default: dataset name)")
-    p_train.add_argument("--compiled", action="store_true", default=True,
-                         help="capture/replay training batches through the "
-                              "tape engine (default; bit-exact with eager)")
-    p_train.add_argument("--no-compiled", dest="compiled",
-                         action="store_false",
-                         help="force the eager per-op training path")
     p_train.add_argument("--adversarial", action="store_true",
                          help="adversarial training: mix each batch with "
-                              "an inner-PGD attacked copy (forces the "
-                              "eager path)")
+                              "an inner-PGD attacked copy")
     p_train.add_argument("--attack-steps", type=int, default=3,
                          help="inner-attack PGD steps (with --adversarial)")
     p_train.add_argument("--attack-epsilon", type=float, default=1.0,
@@ -889,20 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="WL relabeling rounds for similarity "
                                      "fingerprints (default 3; more rounds "
                                      "= stricter topology matching)")
-        sub_parser.add_argument("--compiled", action="store_true",
-                                default=True,
-                                help="serve forwards through the compiled "
-                                     "tape cache (default; float64 replay "
-                                     "is bit-exact with eager)")
-        sub_parser.add_argument("--no-compiled", dest="compiled",
-                                action="store_false",
-                                help="force the eager per-op forward path")
-        sub_parser.add_argument("--infer-dtype",
-                                choices=("float64", "float32"),
-                                default="float64",
-                                help="compiled inference precision; float32 "
-                                     "trades ~1e-6 relative error for speed "
-                                     "(requires --compiled)")
 
     p_classify = sub.add_parser(
         "classify",

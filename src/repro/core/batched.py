@@ -119,9 +119,8 @@ class GraphBatch:
         <repro.core.graph_conv.GraphConvolutionStack.forward_batch>` uses
         it as the layer-0 input when present, so a subsequent
         ``backward()`` accumulates ``dL/dX`` into ``tensor.grad``.  This
-        is the eager-path hook the feature-space adversarial attack
-        (:mod:`repro.adv.attack`) is built on; compiled tape replay never
-        sees such batches (attack steps always run eagerly).
+        is the hook the feature-space adversarial attack
+        (:mod:`repro.adv.attack`) is built on.
 
         Per-graph gradient rows are recovered with :attr:`boundaries`,
         exactly like :meth:`split` slices forward activations.

@@ -57,11 +57,9 @@ def resolve_sort_pooling_k(graph_sizes: Sequence[int], ratio: float, minimum: in
 def sort_pool(z_concat: Tensor, k: int) -> Tensor:
     """``(n, C) -> (k, C)``: sort rows, truncate or zero-pad to ``k``.
 
-    A single composite autograd node (rather than gather + pad chained)
-    so the tape replays it as one kernel that recomputes the
-    data-dependent permutation per batch.  The permutation is computed
-    from forward values and treated as a constant in backprop;
-    gradients flow through the row selection.
+    A single composite autograd node rather than gather + pad chained.
+    The permutation is computed from forward values and treated as a
+    constant in backprop; gradients flow through the row selection.
     """
     z_concat = Tensor._coerce(z_concat)
     order = sort_vertex_order(z_concat.data)
@@ -75,13 +73,7 @@ def sort_pool(z_concat: Tensor, k: int) -> Tensor:
         np.add.at(grad_in, order[:m], grad[:m])
         return (grad_in,)
 
-    return Tensor._make(
-        out_data,
-        (z_concat,),
-        grad_fn,
-        op="sort_pool",
-        meta={"k": k, "order_fn": sort_vertex_order},
-    )
+    return Tensor._make(out_data, (z_concat,), grad_fn)
 
 
 class SortPooling(Module):

@@ -63,17 +63,6 @@ class ConfigurationError(MagicError):
     """Raised when a model or trainer is configured inconsistently."""
 
 
-class CompilationError(MagicError):
-    """Raised when a recorded graph cannot be compiled into a tape.
-
-    Callers that opted into compiled execution treat this as a signal to
-    fall back to the eager path (the model still works, just without the
-    replay speedup) — e.g. a custom module built from untagged
-    ``Tensor._make`` calls, or a float32 request against a training-mode
-    graph.
-    """
-
-
 class DatasetError(MagicError):
     """Raised when a dataset cannot be generated, loaded, or split."""
 

@@ -23,7 +23,6 @@ from repro.nn.loss import cross_entropy, nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.pooling import AdaptiveMaxPool2d, MaxPool2d
-from repro.nn.tape import CompiledModel, TapeExecutor, batch_signature, compile_output
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
 __all__ = [
@@ -43,11 +42,7 @@ __all__ = [
     "Sequential",
     "Tanh",
     "Tensor",
-    "CompiledModel",
-    "TapeExecutor",
-    "batch_signature",
     "clip_grad_norm",
-    "compile_output",
     "concatenate",
     "cross_entropy",
     "functional",

@@ -79,18 +79,7 @@ def conv1d(
         grad_bias = grad.sum(axis=(0, 2))
         return (grad_x, grad_weight, grad_bias)
 
-    return Tensor._make(
-        out_data,
-        parents,
-        grad_fn,
-        op="conv1d",
-        meta={
-            "stride": stride,
-            "kernel": kernel,
-            "l_out": l_out,
-            "has_bias": bias is not None,
-        },
-    )
+    return Tensor._make(out_data, parents, grad_fn)
 
 
 def conv2d(
@@ -164,19 +153,7 @@ def conv2d(
         grad_bias = grad.sum(axis=(0, 2, 3))
         return (grad_x, grad_weight, grad_bias)
 
-    return Tensor._make(
-        out_data,
-        parents,
-        grad_fn,
-        op="conv2d",
-        meta={
-            "stride": (sh, sw),
-            "padding": (ph, pw),
-            "kernel": (kh, kw),
-            "out_hw": (h_out, w_out),
-            "has_bias": bias is not None,
-        },
-    )
+    return Tensor._make(out_data, parents, grad_fn)
 
 
 # ----------------------------------------------------------------------
@@ -219,13 +196,7 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
                 np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad[:, :, oh, ow])
         return (grad_x,)
 
-    return Tensor._make(
-        out_data,
-        (x,),
-        grad_fn,
-        op="max_pool2d",
-        meta={"kernel": (kh, kw), "stride": (sh, sw), "out_hw": (h_out, w_out)},
-    )
+    return Tensor._make(out_data, (x,), grad_fn)
 
 
 def max_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -292,13 +263,7 @@ def adaptive_max_pool2d(x: Tensor, output_size: IntPair) -> Tensor:
                 np.add.at(grad_x, (n_idx, c_idx, rows, cols), grad[:, :, oh, ow])
         return (grad_x,)
 
-    return Tensor._make(
-        out_data,
-        (x,),
-        grad_fn,
-        op="adaptive_max_pool2d",
-        meta={"grid": (oh_size, ow_size)},
-    )
+    return Tensor._make(out_data, (x,), grad_fn)
 
 
 # ----------------------------------------------------------------------
@@ -330,13 +295,7 @@ def sparse_matmul(matrix, x: Tensor, matrix_t=None) -> Tensor:
             cache["t"] = matrix.T.tocsr()
         return (np.asarray(cache["t"] @ grad),)
 
-    return Tensor._make(
-        out_data,
-        (x,),
-        grad_fn,
-        op="spmm",
-        meta={"matrix": matrix, "t_cache": cache},
-    )
+    return Tensor._make(out_data, (x,), grad_fn)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +312,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def grad_fn(grad: np.ndarray):
         return (grad - softmax_data * grad.sum(axis=axis, keepdims=True),)
 
-    return Tensor._make(out_data, (x,), grad_fn, op="log_softmax", meta={"axis": axis})
+    return Tensor._make(out_data, (x,), grad_fn)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -382,6 +341,4 @@ def dropout(
     def grad_fn(grad: np.ndarray):
         return (grad * mask,)
 
-    return Tensor._make(
-        x.data * mask, (x,), grad_fn, op="dropout", meta={"p": p, "rng": generator}
-    )
+    return Tensor._make(x.data * mask, (x,), grad_fn)

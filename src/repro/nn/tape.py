@@ -1,1473 +1,30 @@
-"""Capture-and-replay ("tape") execution for the autograd hot path.
+"""Name kept for the benchmark harness; the compiled tape is gone.
 
-The eager :class:`~repro.nn.tensor.Tensor` engine rebuilds the whole
-computation graph — one Python closure and one freshly allocated output
-array per op — on *every* forward pass, even though training batches and
-serve micro-batches repeat the exact same op topology thousands of
-times.  This module compiles one recorded eager pass into a flat op list
-("tape") and replays it with preallocated arena buffers and
-``out=``-style numpy kernels: no Tensor objects, no graph walk, no
-per-op allocation on the replay path.
-
-How a tape is built
--------------------
-Every op in :mod:`repro.nn.tensor` / :mod:`repro.nn.functional` stamps
-its output with a kind (``Tensor._op``) and static metadata
-(``Tensor._op_meta``).  :func:`compile_output` walks the recorded graph
-of one eager forward in topological order and emits a
-:class:`TapeRecord` per compute node.  Record inputs are classified as:
-
-``("buf", i)``
-    An intermediate — arena buffer ``i`` (the captured eager output
-    array, reused in place on every replay).
-``("leaf", tensor)``
-    A trainable parameter.  Read through ``tensor.data`` *fresh on every
-    replay*, so optimizer steps and ``load_state_dict`` (which rebind
-    ``.data``) are picked up without invalidating the tape.
-``("sym", name)``
-    A batch-varying constant (``attributes`` / ``propagation`` /
-    ``propagation_t``), identity-matched against the capture batch and
-    resolved from the *replay* batch.
-``("const", array)``
-    Anything else — snapshotted at capture time.
-
-Data-dependent decisions (SortPooling's permutation, max-pool argmaxes,
-dropout masks) are recomputed per replay; *shape*-dependent decisions
-are frozen, which is safe because an executor is only ever replayed for
-batches with the same :func:`batch_signature`.
-
-A fusion pass then collapses ``SpMM → activation`` in the graph-conv
-stack and ``matmul → bias add → ReLU`` in the MLP head into single
-records with hand-written backward rules.  Fusion only fires when the
-eliminated intermediates have exactly one consumer, so gradient
-accumulation order is unchanged.
-
-Equality contract
------------------
-float64 replay is value-exact with the eager engine (every kernel
-performs the same numpy arithmetic in the same order; verified with
-``np.array_equal`` in ``tests/nn/test_tape.py``).  The only tolerated
-representation difference is the sign of zero (``np.maximum`` vs
-``np.where`` for ReLU), which ``==``-compares equal and cannot change
-any downstream comparison.  float32 execution is a deliberately
-different numeric mode: inference-only, opt-in, documented tolerance.
-
-Thread safety: :class:`CompiledModel` serializes capture and replay
-under one lock — arena buffers are shared mutable state.
+The eager autograd engine is the only execution path.  Nothing in
+``repro`` uses :class:`CompiledModel`; it survives as an eager
+pass-through because the benchmark still patches its methods.
 """
 
-from __future__ import annotations
-
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any
 
 import numpy as np
 
-from repro.exceptions import CompilationError, GradientError
-from repro.nn.tensor import Tensor, _unbroadcast
-
-try:  # scipy's C kernel for CSR @ dense-matrix, accumulating into out.
-    # Private module, so guard the import *and* the symbol: if either is
-    # missing we fall back to the (allocating) ``matrix @ src`` operator,
-    # which runs the same arithmetic.
-    from scipy.sparse import _sparsetools as _sparse_kernels
-
-    _HAVE_CSR_MATVECS = hasattr(_sparse_kernels, "csr_matvecs")
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _sparse_kernels = None
-    _HAVE_CSR_MATVECS = False
-
-# Ops whose output is a numpy *view* of their input: the arena slot is
-# rebound (not written through) on every replay.
-_VIEW_KINDS = ("reshape", "getitem", "transpose")
-
-
-def _spmm_into(matrix: Any, src: np.ndarray, dst: np.ndarray) -> None:
-    """``dst <- matrix @ src`` for CSR ``matrix``, allocation-free.
-
-    ``csr_matvecs`` accumulates ``dst += A @ src``, so ``dst`` is zeroed
-    first — exactly what scipy's own ``@`` does into its freshly zeroed
-    result, hence bit-identical arithmetic.
-    """
-    if (
-        _HAVE_CSR_MATVECS
-        and matrix.format == "csr"
-        and src.flags.c_contiguous
-        and dst.flags.c_contiguous
-        and matrix.data.dtype == src.dtype == dst.dtype
-    ):
-        dst.fill(0.0)
-        n_rows, n_cols = matrix.shape
-        _sparse_kernels.csr_matvecs(
-            n_rows,
-            n_cols,
-            src.shape[1],
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            src.ravel(),
-            dst.ravel(),
-        )
-    else:
-        dst[...] = matrix @ src
-
-
-class TapeRecord:
-    """One compiled op: kind, input refs, output arena slot, metadata."""
-
-    __slots__ = ("kind", "inputs", "out", "meta", "state")
-
-    def __init__(
-        self,
-        kind: str,
-        inputs: Tuple[Tuple[str, Any], ...],
-        out: int,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.kind = kind
-        self.inputs = inputs
-        self.out = out
-        self.meta = meta if meta is not None else {}
-        # Per-replay data-dependent values shared between the forward
-        # and backward kernels of this record (sort order, masks, ...).
-        self.state: Dict[str, Any] = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TapeRecord({self.kind!r}, out={self.out})"
-
-
-def batch_signature(batch: Any, training: bool, dtype: Any) -> Tuple[Any, ...]:
-    """Replay key: everything that fixes the compiled program's shapes.
-
-    Two batches with the same signature run the identical op list with
-    identical buffer shapes; everything else about them (attribute
-    values, edge structure within a graph) is resolved per replay via
-    symbolic inputs and data-dependent recomputes.
-    """
-    boundaries = getattr(batch, "boundaries", None)
-    attributes = getattr(batch, "attributes", None)
-    if boundaries is None or attributes is None:
-        raise CompilationError(
-            "compiled execution needs a GraphBatch-like input with "
-            "`.boundaries` and `.attributes`"
-        )
-    return (
-        tuple(int(b) for b in boundaries),
-        int(attributes.shape[1]),
-        bool(getattr(batch, "normalized", True)),
-        bool(training),
-        str(np.dtype(dtype)),
-    )
-
-
-# ----------------------------------------------------------------------
-# graph -> records
-
-
-def _record_graph(
-    output: Tensor, batch: Any
-) -> Tuple[List[TapeRecord], List[np.ndarray], int]:
-    """Walk one recorded eager graph into a flat record list.
-
-    The program order is ``reversed(output._topological_order())`` — the
-    exact reverse of the order eager ``backward()`` processes nodes in,
-    which is what makes replayed gradient accumulation order-identical
-    to the eager engine.
-    """
-    if output._grad_fn is None:
-        raise CompilationError(
-            "model output records no computation graph; compiled "
-            "execution needs at least one differentiable op"
-        )
-    compute = [n for n in reversed(output._topological_order()) if n._grad_fn is not None]
-    index = {id(n): i for i, n in enumerate(compute)}
-    attributes = getattr(batch, "attributes", None)
-    propagation = getattr(batch, "propagation", None)
-
-    def ref(parent: Tensor) -> Tuple[str, Any]:
-        if parent._grad_fn is not None:
-            return ("buf", index[id(parent)])
-        if parent.requires_grad:
-            return ("leaf", parent)
-        if attributes is not None and parent.data is attributes:
-            return ("sym", "attributes")
-        return ("const", parent.data)
-
-    records: List[TapeRecord] = []
-    for node in compute:
-        kind = node._op
-        if kind is None:
-            raise CompilationError(
-                "op recorded without a tape kind (custom Tensor._make "
-                "caller?); cannot compile this graph"
-            )
-        meta = dict(node._op_meta) if node._op_meta else {}
-        if kind == "spmm":
-            matrix = meta.pop("matrix")
-            cache = meta.pop("t_cache", None) or {}
-            if propagation is not None and matrix is propagation:
-                meta["matrix_ref"] = ("sym", "propagation")
-                meta["matrix_t_ref"] = ("sym", "propagation_t")
-            else:
-                # A non-batch sparse operand is a constant; its
-                # transpose is resolved lazily at backward-build time.
-                meta["matrix_ref"] = ("const", matrix)
-                meta["matrix_t_src"] = (matrix, cache)
-        records.append(
-            TapeRecord(kind, tuple(ref(p) for p in node._parents), index[id(node)], meta)
-        )
-    return records, [n.data for n in compute], index[id(output)]
-
-
-# ----------------------------------------------------------------------
-# fusion
-
-
-def _ref_array(
-    ref: Tuple[str, Any], buffers: List[np.ndarray]
-) -> Optional[np.ndarray]:
-    tag, val = ref
-    if tag == "buf":
-        return buffers[val]
-    if tag == "leaf":
-        return val.data
-    if tag == "const":
-        return val
-    return None
-
-
-def _fuse_program(
-    records: List[TapeRecord], buffers: List[np.ndarray], out_index: int
-) -> Tuple[List[TapeRecord], int]:
-    """Collapse SpMM→activation and matmul→add(bias)→ReLU chains.
-
-    Only fires when every eliminated intermediate has exactly one
-    consumer (and is not the program output), so no other record — and
-    no gradient contribution — ever touches the removed buffers.
-    """
-    producer = {r.out: i for i, r in enumerate(records)}
-    consumers: Dict[int, int] = {}
-    for r in records:
-        for tag, val in r.inputs:
-            if tag == "buf":
-                consumers[val] = consumers.get(val, 0) + 1
-    # The final output stays live for the caller even with no consumer.
-    consumers[out_index] = consumers.get(out_index, 0) + 1
-
-    replaced: Dict[int, TapeRecord] = {}
-    skip: set = set()
-    for j, act in enumerate(records):
-        if act.kind not in ("tanh", "relu") or len(act.inputs) != 1:
-            continue
-        tag, pre = act.inputs[0]
-        if tag != "buf" or consumers.get(pre, 0) != 1:
-            continue
-        i = producer[pre]
-        if i in skip:
-            continue
-        prod = records[i]
-        if prod.kind == "spmm":
-            fused_meta = dict(prod.meta)
-            fused_meta["activation"] = act.kind
-            replaced[j] = TapeRecord("spmm_act", prod.inputs, act.out, fused_meta)
-            skip.add(i)
-        elif act.kind == "relu" and prod.kind == "add" and len(prod.inputs) == 2:
-            (xtag, xbuf), bias_ref = prod.inputs
-            if xtag != "buf" or bias_ref[0] != "leaf":
-                continue
-            if consumers.get(xbuf, 0) != 1:
-                continue
-            mi = producer[xbuf]
-            if mi in skip:
-                continue
-            mm = records[mi]
-            if mm.kind != "matmul" or mm.inputs[1][0] != "leaf":
-                continue
-            x_arr = _ref_array(mm.inputs[0], buffers)
-            w_arr = _ref_array(mm.inputs[1], buffers)
-            if x_arr is None or x_arr.ndim != 2 or w_arr is None or w_arr.ndim != 2:
-                continue
-            if _ref_array(bias_ref, buffers).ndim != 1:
-                continue
-            replaced[j] = TapeRecord(
-                "linear_relu", (mm.inputs[0], mm.inputs[1], bias_ref), act.out, {}
-            )
-            skip.add(i)
-            skip.add(mi)
-    if not replaced:
-        return records, 0
-    fused = [replaced.get(j, r) for j, r in enumerate(records) if j not in skip]
-    return fused, len(replaced)
-
-
-# ----------------------------------------------------------------------
-# executor
-
-class TapeExecutor:
-    """Replays one compiled program against arena buffers.
-
-    One executor serves exactly one :func:`batch_signature`; the owning
-    :class:`CompiledModel` guarantees it is never fed a batch with a
-    different signature and serializes access (the arena is shared
-    mutable state).
-    """
-
-    def __init__(
-        self,
-        records: List[TapeRecord],
-        buffers: List[np.ndarray],
-        out_index: int,
-        batch: Any,
-        dtype: Any = "float64",
-        fused_ops: int = 0,
-    ) -> None:
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise CompilationError(f"unsupported tape dtype {dtype!r}")
-        self.records = records
-        self.out_index = out_index
-        self.fused_ops = fused_ops
-        if self.dtype == np.float64:
-            # The captured eager outputs *are* the arena.
-            self.bufs: List[np.ndarray] = list(buffers)
-        else:
-            self.bufs = [np.empty(b.shape, dtype=np.float32) for b in buffers]
-        self.out_shape = buffers[out_index].shape
-        self._view_outs = {r.out for r in records if r.kind in _VIEW_KINDS}
-        self._syms: Dict[str, Any] = {}
-        self._fwd_syms: set = set()
-        self._bwd_syms: set = set()
-        for rec in records:
-            for tag, val in rec.inputs:
-                if tag == "sym":
-                    self._fwd_syms.add(val)
-            mref = rec.meta.get("matrix_ref")
-            if mref is not None and mref[0] == "sym":
-                self._fwd_syms.add(mref[1])
-                self._bwd_syms.add("propagation_t")
-        self._leaf_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._batch: Any = None
-        self._grads: List[Optional[np.ndarray]] = []
-        self._grad_arrays: List[np.ndarray] = []
-        self._bwd: Optional[List[Callable[[], None]]] = None
-        self.set_batch(batch)
-        self._fwd = [self._build_fwd(rec) for rec in records]
-
-    # -- input plumbing -------------------------------------------------
-
-    def set_batch(self, batch: Any) -> None:
-        """Bind the symbolic inputs to a (same-signature) batch."""
-        if batch is self._batch:
-            return
-        self._batch = batch
-        self._load_syms(batch, include_backward=self._bwd is not None)
-
-    def _load_syms(self, batch: Any, include_backward: bool) -> None:
-        names = set(self._fwd_syms)
-        if include_backward:
-            names |= self._bwd_syms
-        for name in names:
-            if name == "attributes":
-                value: Any = batch.attributes
-            elif name == "propagation":
-                value = batch.propagation
-            elif name == "propagation_t":
-                value = batch.propagation_transpose()
-            else:  # pragma: no cover - names are produced above only
-                raise CompilationError(f"unknown symbolic input {name!r}")
-            self._syms[name] = self._cast_const(value)
-
-    def _cast_const(self, value: Any) -> Any:
-        if self.dtype == np.float64:
-            return value
-        if isinstance(value, np.ndarray):
-            return np.ascontiguousarray(value, dtype=np.float32)
-        return value.astype(np.float32)  # scipy sparse matrix
-
-    def _leaf_value(self, tensor: Tensor) -> np.ndarray:
-        """float32 view of a parameter, re-cast when ``.data`` rebinds.
-
-        Optimizer steps and ``load_state_dict`` replace ``param.data``
-        with a new array, so an identity check on the source array is a
-        complete invalidation rule — no version counters needed.
-        """
-        entry = self._leaf_cache.get(id(tensor))
-        if entry is None or entry[0] is not tensor.data:
-            entry = (tensor.data, tensor.data.astype(np.float32))
-            self._leaf_cache[id(tensor)] = entry
-        return entry[1]
-
-    def _reader(self, ref: Tuple[str, Any]) -> Callable[[], Any]:
-        tag, val = ref
-        if tag == "buf":
-            if val in self._view_outs:
-                bufs = self.bufs
-                index = val
-                return lambda: bufs[index]
-            arr = self.bufs[val]
-            return lambda: arr
-        if tag == "leaf":
-            tensor = val
-            if self.dtype == np.float64:
-                return lambda: tensor.data
-            return lambda: self._leaf_value(tensor)
-        if tag == "const":
-            const = self._cast_const(val)
-            return lambda: const
-        syms = self._syms
-        name = val
-        return lambda: syms[name]
-
-    def _scratch(self, shape: Tuple[int, ...], dtype: Any = None) -> np.ndarray:
-        return np.empty(shape, dtype=self.dtype if dtype is None else dtype)
-
-    # -- forward --------------------------------------------------------
-
-    def forward(self, batch: Any) -> np.ndarray:
-        """Replay the program; returns the output *arena buffer*.
-
-        The returned array is reused by the next replay — callers that
-        keep results must copy (``np.exp`` etc. already do).
-        """
-        self.set_batch(batch)
-        for fn in self._fwd:
-            fn()
-        return self.bufs[self.out_index]
-
-    def _build_fwd(self, rec: TapeRecord) -> Callable[[], None]:
-        kind = rec.kind
-        bufs = self.bufs
-        out_index = rec.out
-        readers = [self._reader(ref) for ref in rec.inputs]
-        dst = None if out_index in self._view_outs else bufs[out_index]
-
-        if kind in _VIEW_KINDS:
-            a = readers[0]
-            if kind == "reshape":
-                shape = rec.meta["shape"]
-
-                def fwd() -> None:
-                    bufs[out_index] = a().reshape(shape)
-
-            elif kind == "getitem":
-                key = rec.meta["key"]
-
-                def fwd() -> None:
-                    bufs[out_index] = a()[key]
-
-            else:  # transpose
-                order = rec.meta["order"]
-
-                def fwd() -> None:
-                    bufs[out_index] = a().transpose(order)
-
-            return fwd
-
-        if kind == "add":
-            a, b = readers
-
-            def fwd() -> None:
-                np.add(a(), b(), out=dst)
-
-        elif kind == "sub":
-            a, b = readers
-
-            def fwd() -> None:
-                np.subtract(a(), b(), out=dst)
-
-        elif kind == "mul":
-            a, b = readers
-
-            def fwd() -> None:
-                np.multiply(a(), b(), out=dst)
-
-        elif kind == "div":
-            a, b = readers
-
-            def fwd() -> None:
-                np.divide(a(), b(), out=dst)
-
-        elif kind == "neg":
-            a = readers[0]
-
-            def fwd() -> None:
-                np.negative(a(), out=dst)
-
-        elif kind == "pow":
-            a = readers[0]
-            exponent = rec.meta["exponent"]
-
-            def fwd() -> None:
-                np.power(a(), exponent, out=dst)
-
-        elif kind == "matmul":
-            a, b = readers
-
-            def fwd() -> None:
-                np.matmul(a(), b(), out=dst)
-
-        elif kind == "relu":
-
-            a = readers[0]
-
-            def fwd() -> None:
-                np.maximum(a(), 0.0, out=dst)
-
-        elif kind == "tanh":
-            a = readers[0]
-
-            def fwd() -> None:
-                np.tanh(a(), out=dst)
-
-        elif kind == "sigmoid":
-            a = readers[0]
-
-            def fwd() -> None:
-                np.negative(a(), out=dst)
-                np.exp(dst, out=dst)
-                np.add(dst, 1.0, out=dst)
-                np.divide(1.0, dst, out=dst)
-
-        elif kind == "exp":
-            a = readers[0]
-
-            def fwd() -> None:
-                np.exp(a(), out=dst)
-
-        elif kind == "log":
-            a = readers[0]
-
-            def fwd() -> None:
-                np.log(a(), out=dst)
-
-        elif kind == "sum":
-            a = readers[0]
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-
-            def fwd() -> None:
-                np.sum(a(), axis=axis, keepdims=keepdims, out=dst)
-
-        elif kind == "max":
-            a = readers[0]
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            state = rec.state
-
-            def fwd() -> None:
-                src = a()
-                np.amax(src, axis=axis, keepdims=keepdims, out=dst)
-                state["argmax"] = src.argmax(axis=axis)
-
-        elif kind == "concat":
-            axis = rec.meta["axis"]
-            offsets = np.cumsum([0] + [r().shape[axis] for r in readers])
-            views = []
-            for i in range(len(readers)):
-                sl = [slice(None)] * dst.ndim
-                sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-                views.append(dst[tuple(sl)])
-
-            def fwd() -> None:
-                for view, reader in zip(views, readers):
-                    np.copyto(view, reader())
-
-        elif kind == "stack":
-            axis = rec.meta["axis"]
-            rows = np.moveaxis(dst, axis, 0)
-
-            def fwd() -> None:
-                for i, reader in enumerate(readers):
-                    np.copyto(rows[i], reader())
-
-        elif kind == "gather":
-            a = readers[0]
-            indices = rec.meta["indices"]
-
-            def fwd() -> None:
-                np.take(a(), indices, axis=0, out=dst)
-
-        elif kind == "pad_rows":
-            a = readers[0]
-            n = rec.meta["rows"]
-            dst[n:] = 0.0  # the pad region is never written again
-
-            def fwd() -> None:
-                np.copyto(dst[:n], a())
-
-        elif kind == "sort_pool":
-            a = readers[0]
-            order_fn = rec.meta["order_fn"]
-            m = min(a().shape[0], rec.meta["k"])
-            state = rec.state
-            dst[m:] = 0.0  # zero padding persists across replays
-            head = dst[:m]
-
-            def fwd() -> None:
-                src = a()
-                order = order_fn(src)
-                state["order"] = order
-                np.take(src, order[:m], axis=0, out=head)
-
-        elif kind in ("spmm", "spmm_act"):
-            a = readers[0]
-            matrix = self._reader(rec.meta["matrix_ref"])
-            activation = rec.meta.get("activation")
-            if activation is None:
-
-                def fwd() -> None:
-                    _spmm_into(matrix(), a(), dst)
-
-            elif activation == "tanh":
-
-                def fwd() -> None:
-                    _spmm_into(matrix(), a(), dst)
-                    np.tanh(dst, out=dst)
-
-            else:  # relu
-
-                def fwd() -> None:
-                    _spmm_into(matrix(), a(), dst)
-                    np.maximum(dst, 0.0, out=dst)
-
-        elif kind == "linear_relu":
-            a, w, b = readers
-
-            def fwd() -> None:
-                np.matmul(a(), w(), out=dst)
-                np.add(dst, b(), out=dst)
-                np.maximum(dst, 0.0, out=dst)
-
-        elif kind == "log_softmax":
-            a = readers[0]
-            axis = rec.meta["axis"]
-            src_shape = a().shape
-            red_shape = list(src_shape)
-            red_shape[axis] = 1
-            mx = self._scratch(tuple(red_shape))
-            es = self._scratch(src_shape)
-            sm = self._scratch(tuple(red_shape))
-
-            def fwd() -> None:
-                src = a()
-                np.max(src, axis=axis, keepdims=True, out=mx)
-                np.subtract(src, mx, out=dst)  # dst = shifted
-                np.exp(dst, out=es)
-                np.sum(es, axis=axis, keepdims=True, out=sm)
-                np.log(sm, out=sm)
-                np.subtract(dst, sm, out=dst)
-
-        elif kind == "dropout":
-            a = readers[0]
-            p = rec.meta["p"]
-            rng = rec.meta["rng"]
-            rand = self._scratch(dst.shape)
-            keep = np.empty(dst.shape, dtype=bool)
-            mask = self._scratch(dst.shape)
-            state = rec.state
-            state["mask"] = mask
-            scale = 1.0 - p
-
-            def fwd() -> None:
-                rng.random(out=rand)
-                np.greater_equal(rand, p, out=keep)
-                np.divide(keep, scale, out=mask)
-                np.multiply(a(), mask, out=dst)
-
-        elif kind == "conv1d":
-            fwd = self._build_conv1d_fwd(rec, readers, dst)
-        elif kind == "conv2d":
-            fwd = self._build_conv2d_fwd(rec, readers, dst)
-        elif kind == "max_pool2d":
-            fwd = self._build_pool_fwd(rec, readers, dst, adaptive=False)
-        elif kind == "adaptive_max_pool2d":
-            fwd = self._build_pool_fwd(rec, readers, dst, adaptive=True)
-        else:
-            raise CompilationError(f"no replay kernel for op kind {kind!r}")
-        return fwd
-
-    def _build_conv1d_fwd(
-        self, rec: TapeRecord, readers: List[Callable[[], Any]], dst: np.ndarray
-    ) -> Callable[[], None]:
-        x = readers[0]
-        w = readers[1]
-        b = readers[2] if rec.meta["has_bias"] else None
-        stride = rec.meta["stride"]
-        kernel = rec.meta["kernel"]
-        l_out = rec.meta["l_out"]
-        n, c_in = x().shape[0], x().shape[1]
-        cols = self._scratch((n, c_in, kernel, l_out))
-        rec.state["cols"] = cols
-
-        def fwd() -> None:
-            src = x()
-            for k in range(kernel):
-                cols[:, :, k, :] = src[:, :, k : k + stride * l_out : stride]
-            np.einsum("nckl,fck->nfl", cols, w(), out=dst)
-            if b is not None:
-                np.add(dst, b()[None, :, None], out=dst)
-
-        return fwd
-
-    def _build_conv2d_fwd(
-        self, rec: TapeRecord, readers: List[Callable[[], Any]], dst: np.ndarray
-    ) -> Callable[[], None]:
-        x = readers[0]
-        w = readers[1]
-        b = readers[2] if rec.meta["has_bias"] else None
-        sh, sw = rec.meta["stride"]
-        ph, pw = rec.meta["padding"]
-        kh, kw = rec.meta["kernel"]
-        h_out, w_out = rec.meta["out_hw"]
-        n, c_in, height, width = x().shape
-        cols = self._scratch((n, c_in, kh, kw, h_out, w_out))
-        rec.state["cols"] = cols
-        if ph or pw:
-            padded = np.zeros(
-                (n, c_in, height + 2 * ph, width + 2 * pw), dtype=self.dtype
-            )
-            interior = padded[:, :, ph : ph + height, pw : pw + width]
-        else:
-            padded = None
-            interior = None
-
-        def fwd() -> None:
-            src = x()
-            if padded is not None:
-                np.copyto(interior, src)
-                src = padded
-            for i in range(kh):
-                for j in range(kw):
-                    cols[:, :, i, j, :, :] = src[
-                        :, :, i : i + sh * h_out : sh, j : j + sw * w_out : sw
-                    ]
-            np.einsum("ncijhw,fcij->nfhw", cols, w(), out=dst)
-            if b is not None:
-                np.add(dst, b()[None, :, None, None], out=dst)
-
-        return fwd
-
-    def _build_pool_fwd(
-        self,
-        rec: TapeRecord,
-        readers: List[Callable[[], Any]],
-        dst: np.ndarray,
-        adaptive: bool,
-    ) -> Callable[[], None]:
-        from repro.nn.functional import adaptive_window_bounds
-
-        x = readers[0]
-        n, c, height, width = x().shape
-        if adaptive:
-            oh_size, ow_size = rec.meta["grid"]
-            windows = []
-            for oh in range(oh_size):
-                h0, h1 = adaptive_window_bounds(height, oh_size, oh)
-                for ow in range(ow_size):
-                    w0, w1 = adaptive_window_bounds(width, ow_size, ow)
-                    windows.append((oh, ow, h0, h1, w0, w1))
-        else:
-            kh, kw = rec.meta["kernel"]
-            sh, sw = rec.meta["stride"]
-            oh_size, ow_size = rec.meta["out_hw"]
-            windows = [
-                (oh, ow, oh * sh, oh * sh + kh, ow * sw, ow * sw + kw)
-                for oh in range(oh_size)
-                for ow in range(ow_size)
-            ]
-        argmax = np.empty((n, c, oh_size, ow_size, 2), dtype=np.int64)
-        rec.state["argmax"] = argmax
-
-        def fwd() -> None:
-            src = x()
-            for oh, ow, h0, h1, w0, w1 in windows:
-                window = src[:, :, h0:h1, w0:w1]
-                flat = window.reshape(n, c, -1)
-                best = flat.argmax(axis=2)
-                dst[:, :, oh, ow] = np.take_along_axis(flat, best[:, :, None], axis=2)[
-                    :, :, 0
-                ]
-                win_w = w1 - w0
-                argmax[:, :, oh, ow, 0] = h0 + best // win_w
-                argmax[:, :, oh, ow, 1] = w0 + best % win_w
-
-        return fwd
-
-    # -- backward -------------------------------------------------------
-
-    def backward(self, seed: np.ndarray) -> None:
-        """Accumulate parameter gradients for the last replayed forward.
-
-        Kernel-for-kernel this performs the same arithmetic, in the same
-        node order, as eager ``Tensor.backward`` — the program is stored
-        in forward topological order, so iterating it reversed *is* the
-        eager processing order.
-        """
-        if self.dtype != np.float64:
-            raise GradientError("backward requires float64 compiled execution")
-        if self._bwd is None:
-            self._build_backward()
-        seed = np.asarray(seed, dtype=np.float64)
-        if seed.shape != self.out_shape:
-            raise GradientError(
-                f"seed shape {seed.shape} does not match output {self.out_shape}"
-            )
-        for grad in self._grad_arrays:
-            grad.fill(0.0)
-        np.add(self._grads[self.out_index], seed, out=self._grads[self.out_index])
-        for fn in self._bwd:
-            fn()
-
-    def _build_backward(self) -> None:
-        self._grads = [None] * len(self.bufs)
-        for rec in self.records:
-            if self._grads[rec.out] is None:
-                self._grads[rec.out] = np.zeros(self.bufs[rec.out].shape)
-        self._grad_arrays = [g for g in self._grads if g is not None]
-        bwd: List[Callable[[], None]] = []
-        for rec in reversed(self.records):
-            fn = self._build_bwd(rec)
-            if fn is not None:
-                bwd.append(fn)
-        self._bwd = bwd
-        # propagation_t (only needed here) must be bound for the batch
-        # the last forward ran against.
-        if self._batch is not None:
-            self._load_syms(self._batch, include_backward=True)
-
-    def _accumulator(self, ref: Tuple[str, Any]) -> Optional[Callable[[np.ndarray], None]]:
-        tag, val = ref
-        if tag == "buf":
-            arr = self._grads[val]
-
-            def acc(v: np.ndarray) -> None:
-                np.add(arr, v, out=arr)
-
-            return acc
-        if tag == "leaf":
-            tensor = val
-
-            def acc(v: np.ndarray) -> None:
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                np.add(tensor.grad, v, out=tensor.grad)
-
-            return acc
-        return None
-
-    def _build_bwd(self, rec: TapeRecord) -> Optional[Callable[[], None]]:
-        kind = rec.kind
-        readers = [self._reader(ref) for ref in rec.inputs]
-        accs = [self._accumulator(ref) for ref in rec.inputs]
-        if not any(accs):
-            return None
-        g = self._grads[rec.out]
-        out_buf = None if rec.out in self._view_outs else self.bufs[rec.out]
-        shapes = [
-            val.data.shape
-            if tag == "leaf"
-            else (self.bufs[val].shape if tag == "buf" else np.shape(val))
-            for tag, val in rec.inputs
-        ]
-
-        if kind == "add":
-            parts = []
-            for acc, shape in zip(accs, shapes):
-                if acc is None:
-                    continue
-                if shape == g.shape:
-                    parts.append(lambda acc=acc: acc(g))
-                else:
-                    parts.append(lambda acc=acc, shape=shape: acc(_unbroadcast(g, shape)))
-
-            def bwd() -> None:
-                for part in parts:
-                    part()
-
-        elif kind == "sub":
-            acc_a, acc_b = accs
-
-            def bwd() -> None:
-                if acc_a is not None:
-                    acc_a(_unbroadcast(g, shapes[0]))
-                if acc_b is not None:
-                    acc_b(_unbroadcast(-g, shapes[1]))
-
-        elif kind == "mul":
-            a, b = readers
-            acc_a, acc_b = accs
-
-            def bwd() -> None:
-                if acc_a is not None:
-                    acc_a(_unbroadcast(g * b(), shapes[0]))
-                if acc_b is not None:
-                    acc_b(_unbroadcast(g * a(), shapes[1]))
-
-        elif kind == "div":
-            a, b = readers
-            acc_a, acc_b = accs
-
-            def bwd() -> None:
-                if acc_a is not None:
-                    acc_a(_unbroadcast(g / b(), shapes[0]))
-                if acc_b is not None:
-                    bv = b()
-                    acc_b(_unbroadcast(-g * a() / (bv * bv), shapes[1]))
-
-        elif kind == "neg":
-            acc_a = accs[0]
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.negative(g, out=scr)
-                acc_a(scr)
-
-        elif kind == "pow":
-            a = readers[0]
-            acc_a = accs[0]
-            exponent = rec.meta["exponent"]
-
-            def bwd() -> None:
-                acc_a(g * exponent * a() ** (exponent - 1))
-
-        elif kind == "matmul":
-            bwd = self._build_matmul_bwd(g, readers, accs, shapes)
-        elif kind == "transpose":
-            acc_a = accs[0]
-            inverse = np.argsort(rec.meta["order"])
-
-            def bwd() -> None:
-                acc_a(g.transpose(inverse))
-
-        elif kind == "reshape":
-            acc_a = accs[0]
-            in_shape = shapes[0]
-
-            def bwd() -> None:
-                acc_a(g.reshape(in_shape))
-
-        elif kind == "getitem":
-            key = rec.meta["key"]
-            tag, val = rec.inputs[0]
-            if tag == "buf":
-                target = self._grads[val]
-
-                def bwd() -> None:
-                    np.add.at(target, key, g)
-
-            else:
-                acc_a = accs[0]
-                scr = np.empty(shapes[0])
-
-                def bwd() -> None:
-                    scr.fill(0.0)
-                    np.add.at(scr, key, g)
-                    acc_a(scr)
-
-        elif kind == "sum":
-            acc_a = accs[0]
-            in_shape = shapes[0]
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            if axis is None:
-
-                def bwd() -> None:
-                    acc_a(np.broadcast_to(g, in_shape))
-
-            else:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                axes = tuple(a % len(in_shape) for a in axes)
-
-                def bwd() -> None:
-                    expanded = g
-                    if not keepdims:
-                        for a in sorted(axes):
-                            expanded = np.expand_dims(expanded, a)
-                    acc_a(np.broadcast_to(expanded, in_shape))
-
-        elif kind == "max":
-            acc_a = accs[0]
-            axis = rec.meta["axis"]
-            keepdims = rec.meta["keepdims"]
-            state = rec.state
-            scr = np.empty(shapes[0])
-
-            def bwd() -> None:
-                scr.fill(0.0)
-                grad_vals = g if keepdims else np.expand_dims(g, axis)
-                idx = np.expand_dims(state["argmax"], axis)
-                np.put_along_axis(scr, idx, grad_vals, axis)
-                acc_a(scr)
-
-        elif kind == "relu":
-            acc_a = accs[0]
-            mask = np.empty(g.shape, dtype=bool)
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.greater(out_buf, 0.0, out=mask)
-                np.multiply(g, mask, out=scr)
-                acc_a(scr)
-
-        elif kind == "tanh":
-            acc_a = accs[0]
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.multiply(out_buf, out_buf, out=scr)
-                np.subtract(1.0, scr, out=scr)
-                np.multiply(g, scr, out=scr)
-                acc_a(scr)
-
-        elif kind == "sigmoid":
-            acc_a = accs[0]
-            scr = np.empty(g.shape)
-            scr2 = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.multiply(g, out_buf, out=scr)
-                np.subtract(1.0, out_buf, out=scr2)
-                np.multiply(scr, scr2, out=scr)
-                acc_a(scr)
-
-        elif kind == "exp":
-            acc_a = accs[0]
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.multiply(g, out_buf, out=scr)
-                acc_a(scr)
-
-        elif kind == "log":
-            a = readers[0]
-            acc_a = accs[0]
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.divide(g, a(), out=scr)
-                acc_a(scr)
-
-        elif kind == "concat":
-            axis = rec.meta["axis"]
-            offsets = np.cumsum([0] + [shape[axis] for shape in shapes])
-            views = []
-            for i in range(len(readers)):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-                views.append(g[tuple(sl)])
-
-            def bwd() -> None:
-                for acc, view in zip(accs, views):
-                    if acc is not None:
-                        acc(view)
-
-        elif kind == "stack":
-            rows = np.moveaxis(g, rec.meta["axis"], 0)
-
-            def bwd() -> None:
-                for i, acc in enumerate(accs):
-                    if acc is not None:
-                        acc(rows[i])
-
-        elif kind == "gather":
-            acc_a = accs[0]
-            indices = rec.meta["indices"]
-            scr = np.empty(shapes[0])
-
-            def bwd() -> None:
-                scr.fill(0.0)
-                np.add.at(scr, indices, g)
-                acc_a(scr)
-
-        elif kind == "pad_rows":
-            acc_a = accs[0]
-            head = g[: rec.meta["rows"]]
-
-            def bwd() -> None:
-                acc_a(head)
-
-        elif kind == "sort_pool":
-            acc_a = accs[0]
-            m = min(shapes[0][0], rec.meta["k"])
-            state = rec.state
-            scr = np.empty(shapes[0])
-            g_head = g[:m]
-
-            def bwd() -> None:
-                scr.fill(0.0)
-                np.add.at(scr, state["order"][:m], g_head)
-                acc_a(scr)
-
-        elif kind in ("spmm", "spmm_act"):
-            bwd = self._build_spmm_bwd(rec, g, accs, shapes, out_buf)
-        elif kind == "linear_relu":
-            bwd = self._build_linear_relu_bwd(rec, g, readers, accs, shapes, out_buf)
-        elif kind == "log_softmax":
-            acc_a = accs[0]
-            axis = rec.meta["axis"]
-            red_shape = list(g.shape)
-            red_shape[axis] = 1
-            es = np.empty(g.shape)
-            sm = np.empty(tuple(red_shape))
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.exp(out_buf, out=es)
-                np.sum(g, axis=axis, keepdims=True, out=sm)
-                np.multiply(es, sm, out=es)
-                np.subtract(g, es, out=scr)
-                acc_a(scr)
-
-        elif kind == "dropout":
-            acc_a = accs[0]
-            state = rec.state
-            scr = np.empty(g.shape)
-
-            def bwd() -> None:
-                np.multiply(g, state["mask"], out=scr)
-                acc_a(scr)
-
-        elif kind == "conv1d":
-            bwd = self._build_conv1d_bwd(rec, g, readers, accs, shapes)
-        elif kind == "conv2d":
-            bwd = self._build_conv2d_bwd(rec, g, readers, accs, shapes)
-        elif kind in ("max_pool2d", "adaptive_max_pool2d"):
-            acc_a = accs[0]
-            state = rec.state
-            n, c = shapes[0][0], shapes[0][1]
-            n_idx, c_idx = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-            oh_size, ow_size = g.shape[2], g.shape[3]
-            scr = np.empty(shapes[0])
-
-            def bwd() -> None:
-                scr.fill(0.0)
-                argmax = state["argmax"]
-                for oh in range(oh_size):
-                    for ow in range(ow_size):
-                        rows = argmax[:, :, oh, ow, 0]
-                        cols = argmax[:, :, oh, ow, 1]
-                        np.add.at(scr, (n_idx, c_idx, rows, cols), g[:, :, oh, ow])
-                acc_a(scr)
-
-        else:
-            raise CompilationError(f"no backward kernel for op kind {kind!r}")
-        return bwd
-
-    def _build_matmul_bwd(
-        self,
-        g: np.ndarray,
-        readers: List[Callable[[], Any]],
-        accs: List[Optional[Callable[[np.ndarray], None]]],
-        shapes: List[Tuple[int, ...]],
-    ) -> Callable[[], None]:
-        a, b = readers
-        acc_a, acc_b = accs
-        if len(shapes[0]) == 2 and len(shapes[1]) == 2:
-            scr_a = np.empty(shapes[0]) if acc_a is not None else None
-            scr_b = np.empty(shapes[1]) if acc_b is not None else None
-
-            def bwd() -> None:
-                if acc_a is not None:
-                    np.matmul(g, b().swapaxes(-1, -2), out=scr_a)
-                    acc_a(scr_a)
-                if acc_b is not None:
-                    np.matmul(a().swapaxes(-1, -2), g, out=scr_b)
-                    acc_b(scr_b)
-
-            return bwd
-
-        def bwd() -> None:
-            # 1-D operand promotion: mirror the eager rule exactly.
-            av, bv = a(), b()
-            a2 = av[None, :] if av.ndim == 1 else av
-            b2 = bv[:, None] if bv.ndim == 1 else bv
-            g2 = g
-            if av.ndim == 1:
-                g2 = g2[None, ...]
-            if bv.ndim == 1:
-                g2 = g2[..., None]
-            if acc_a is not None:
-                grad_a = g2 @ b2.swapaxes(-1, -2)
-                if av.ndim == 1:
-                    grad_a = grad_a.reshape(av.shape)
-                acc_a(grad_a)
-            if acc_b is not None:
-                grad_b = a2.swapaxes(-1, -2) @ g2
-                if bv.ndim == 1:
-                    grad_b = grad_b.reshape(bv.shape)
-                acc_b(grad_b)
-
-        return bwd
-
-    def _matrix_t_reader(self, rec: TapeRecord) -> Callable[[], Any]:
-        t_ref = rec.meta.get("matrix_t_ref")
-        if t_ref is not None:
-            return self._reader(t_ref)
-        matrix, cache = rec.meta["matrix_t_src"]
-        transposed = cache.get("t")
-        if transposed is None:
-            transposed = matrix.T.tocsr()
-        const = self._cast_const(transposed)
-        return lambda: const
-
-    def _build_spmm_bwd(
-        self,
-        rec: TapeRecord,
-        g: np.ndarray,
-        accs: List[Optional[Callable[[np.ndarray], None]]],
-        shapes: List[Tuple[int, ...]],
-        out_buf: Optional[np.ndarray],
-    ) -> Callable[[], None]:
-        acc_x = accs[0]
-        matrix_t = self._matrix_t_reader(rec)
-        scr_in = np.empty(shapes[0])
-        activation = rec.meta.get("activation")
-        if activation is None:
-
-            def bwd() -> None:
-                _spmm_into(matrix_t(), g, scr_in)
-                acc_x(scr_in)
-
-            return bwd
-        scr_out = np.empty(g.shape)
-        if activation == "tanh":
-
-            def bwd() -> None:
-                np.multiply(out_buf, out_buf, out=scr_out)
-                np.subtract(1.0, scr_out, out=scr_out)
-                np.multiply(g, scr_out, out=scr_out)
-                _spmm_into(matrix_t(), scr_out, scr_in)
-                acc_x(scr_in)
-
-        else:  # relu
-            mask = np.empty(g.shape, dtype=bool)
-
-            def bwd() -> None:
-                np.greater(out_buf, 0.0, out=mask)
-                np.multiply(g, mask, out=scr_out)
-                _spmm_into(matrix_t(), scr_out, scr_in)
-                acc_x(scr_in)
-
-        return bwd
-
-    def _build_linear_relu_bwd(
-        self,
-        rec: TapeRecord,
-        g: np.ndarray,
-        readers: List[Callable[[], Any]],
-        accs: List[Optional[Callable[[np.ndarray], None]]],
-        shapes: List[Tuple[int, ...]],
-        out_buf: Optional[np.ndarray],
-    ) -> Callable[[], None]:
-        x, w, _ = readers
-        acc_x, acc_w, acc_b = accs
-        mask = np.empty(g.shape, dtype=bool)
-        grad_pre = np.empty(g.shape)
-        scr_x = np.empty(shapes[0]) if acc_x is not None else None
-        scr_w = np.empty(shapes[1]) if acc_w is not None else None
-        scr_b = np.empty(shapes[2]) if acc_b is not None else None
-
-        def bwd() -> None:
-            np.greater(out_buf, 0.0, out=mask)
-            np.multiply(g, mask, out=grad_pre)
-            if acc_x is not None:
-                np.matmul(grad_pre, w().swapaxes(-1, -2), out=scr_x)
-                acc_x(scr_x)
-            if acc_w is not None:
-                np.matmul(x().swapaxes(-1, -2), grad_pre, out=scr_w)
-                acc_w(scr_w)
-            if acc_b is not None:
-                np.sum(grad_pre, axis=0, out=scr_b)
-                acc_b(scr_b)
-
-        return bwd
-
-    def _build_conv1d_bwd(
-        self,
-        rec: TapeRecord,
-        g: np.ndarray,
-        readers: List[Callable[[], Any]],
-        accs: List[Optional[Callable[[np.ndarray], None]]],
-        shapes: List[Tuple[int, ...]],
-    ) -> Callable[[], None]:
-        w = readers[1]
-        acc_x = accs[0]
-        acc_w = accs[1]
-        acc_b = accs[2] if rec.meta["has_bias"] else None
-        stride = rec.meta["stride"]
-        kernel = rec.meta["kernel"]
-        l_out = rec.meta["l_out"]
-        state = rec.state
-        scr_w = np.empty(shapes[1]) if acc_w is not None else None
-        scr_cols = np.empty(state["cols"].shape)
-        scr_x = np.empty(shapes[0]) if acc_x is not None else None
-        scr_b = np.empty(shapes[2]) if acc_b is not None else None
-
-        def bwd() -> None:
-            if acc_w is not None:
-                np.einsum("nfl,nckl->fck", g, state["cols"], out=scr_w)
-                acc_w(scr_w)
-            if acc_x is not None:
-                np.einsum("nfl,fck->nckl", g, w(), out=scr_cols)
-                scr_x.fill(0.0)
-                for k in range(kernel):
-                    scr_x[:, :, k : k + stride * l_out : stride] += scr_cols[:, :, k, :]
-                acc_x(scr_x)
-            if acc_b is not None:
-                np.sum(g, axis=(0, 2), out=scr_b)
-                acc_b(scr_b)
-
-        return bwd
-
-    def _build_conv2d_bwd(
-        self,
-        rec: TapeRecord,
-        g: np.ndarray,
-        readers: List[Callable[[], Any]],
-        accs: List[Optional[Callable[[np.ndarray], None]]],
-        shapes: List[Tuple[int, ...]],
-    ) -> Callable[[], None]:
-        w = readers[1]
-        acc_x = accs[0]
-        acc_w = accs[1]
-        acc_b = accs[2] if rec.meta["has_bias"] else None
-        sh, sw = rec.meta["stride"]
-        ph, pw = rec.meta["padding"]
-        kh, kw = rec.meta["kernel"]
-        h_out, w_out = rec.meta["out_hw"]
-        n, c_in, height, width = shapes[0]
-        state = rec.state
-        scr_w = np.empty(shapes[1]) if acc_w is not None else None
-        scr_cols = np.empty(state["cols"].shape)
-        scr_pad = np.empty((n, c_in, height + 2 * ph, width + 2 * pw))
-        grad_x = (
-            scr_pad[:, :, ph : ph + height, pw : pw + width] if (ph or pw) else scr_pad
-        )
-        scr_b = np.empty(shapes[2]) if acc_b is not None else None
-
-        def bwd() -> None:
-            if acc_w is not None:
-                np.einsum("nfhw,ncijhw->fcij", g, state["cols"], out=scr_w)
-                acc_w(scr_w)
-            if acc_x is not None:
-                np.einsum("nfhw,fcij->ncijhw", g, w(), out=scr_cols)
-                scr_pad.fill(0.0)
-                for i in range(kh):
-                    for j in range(kw):
-                        scr_pad[
-                            :, :, i : i + sh * h_out : sh, j : j + sw * w_out : sw
-                        ] += scr_cols[:, :, i, j, :, :]
-                acc_x(grad_x)
-            if acc_b is not None:
-                np.sum(g, axis=(0, 2, 3), out=scr_b)
-                acc_b(scr_b)
-
-        return bwd
-
-
-# ----------------------------------------------------------------------
-# public entry points
-
-
-def compile_output(output: Tensor, batch: Any, dtype: Any = "float64") -> TapeExecutor:
-    """Compile one recorded eager forward into a replayable executor."""
-    records, buffers, out_index = _record_graph(output, batch)
-    records, fused = _fuse_program(records, buffers, out_index)
-    return TapeExecutor(records, buffers, out_index, batch, dtype=dtype, fused_ops=fused)
-
 
 class CompiledModel:
-    """Signature-keyed cache of compiled executors for one model.
+    """Eager pass-through: ``forward``/``infer`` return log-probabilities."""
 
-    ``forward`` / ``infer`` return the *log-probability array* (not a
-    Tensor): on a signature miss the eager forward runs once and is
-    compiled as a side effect; on a hit the stored tape replays.  The
-    LRU bound keeps memory proportional to the number of distinct batch
-    shapes in flight; capture is cheap (one eager forward), so eviction
-    and worker ``respawn()`` simply re-capture.
-    """
-
-    def __init__(self, model: Any, dtype: Any = "float64", max_entries: int = 32) -> None:
+    def __init__(self, model: Any) -> None:
         self.model = model
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise CompilationError(f"unsupported compiled dtype {dtype!r}")
-        if max_entries < 1:
-            raise CompilationError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[Any, ...], TapeExecutor]" = OrderedDict()
-        self._lock = threading.RLock()
-        self._last_executor: Optional[TapeExecutor] = None
-        self._last_eager: Optional[Tensor] = None
-        self.captures = 0
-        self.replays = 0
-        self.evictions = 0
+        self._output: Any = None
 
     def forward(self, batch: Any) -> np.ndarray:
-        """Compiled forward honouring the model's current train/eval mode."""
-        with self._lock:
-            training = bool(getattr(self.model, "training", False))
-            if training and self.dtype != np.dtype(np.float64):
-                raise CompilationError(
-                    "float32 compiled execution is inference-only; train in float64"
-                )
-            signature = batch_signature(batch, training, self.dtype)
-            executor = self._entries.get(signature)
-            if executor is not None:
-                self._entries.move_to_end(signature)
-                self.replays += 1
-                self._last_executor = executor
-                self._last_eager = None
-                return executor.forward(batch)
-            # Miss: run eagerly once, compile the recorded graph.
-            output = self.model(batch)
-            executor = compile_output(output, batch, dtype=self.dtype)
-            self._entries[signature] = executor
-            self.captures += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            if self.dtype == np.dtype(np.float64):
-                # The eager output is already exact; keep its graph so a
-                # capture-step backward() runs eagerly (replay kernels
-                # have no saved forward state yet).
-                self._last_executor = None
-                self._last_eager = output
-                return output.data
-            self._last_executor = executor
-            self._last_eager = None
-            return executor.forward(batch)
+        self._output = self.model(batch)
+        return self._output.data
 
     def infer(self, batch: Any) -> np.ndarray:
-        """Eval-mode compiled forward (restores the previous mode)."""
-        with self._lock:
-            was_training = bool(getattr(self.model, "training", False))
-            if was_training:
-                self.model.train(False)
-            try:
-                return self.forward(batch)
-            finally:
-                if was_training:
-                    self.model.train(True)
+        """Eval-mode :meth:`forward`; leaves the model in eval mode."""
+        self.model.train(False)
+        return self.forward(batch)
 
     def backward(self, seed: np.ndarray) -> None:
-        """Backward for the most recent :meth:`forward` (float64 only)."""
-        with self._lock:
-            if self._last_eager is not None:
-                self._last_eager.backward(seed)
-            elif self._last_executor is not None:
-                self._last_executor.backward(seed)
-            else:
-                raise GradientError("backward() before any compiled forward()")
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "dtype": str(self.dtype),
-                "entries": len(self._entries),
-                "captures": self.captures,
-                "replays": self.replays,
-                "evictions": self.evictions,
-                "fused_ops": sum(e.fused_ops for e in self._entries.values()),
-            }
+        self._output.backward(seed)

@@ -15,11 +15,8 @@ Design notes
   gradients back down to each parent's shape.
 * Gradients are plain ``numpy.ndarray``s stored on leaf (and, when
   requested, interior) tensors, mirroring PyTorch's ``.grad``.
-* Every op additionally stamps its output with a tape kind (``_op``) and
-  the static metadata a replay kernel needs (``_op_meta``) so that
-  :mod:`repro.nn.tape` can compile a recorded graph into a flat op list
-  without re-executing Python closures.  Ops built purely by composing
-  other ops (``mean``, ``max_pool1d``) need no kind of their own.
+* This eager engine is the only execution path: training, evaluation,
+  serving and the adversarial attacks all build and walk this graph.
 """
 
 from __future__ import annotations
@@ -59,8 +56,6 @@ class Tensor:
         "grad",
         "_parents",
         "_grad_fn",
-        "_op",
-        "_op_meta",
         "_order_cache",
         "name",
     )
@@ -78,8 +73,6 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        self._op: Optional[str] = None
-        self._op_meta: Optional[dict] = None
         self._order_cache: Optional[List["Tensor"]] = None
         self.name = name
 
@@ -91,16 +84,12 @@ class Tensor:
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
         grad_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
-        op: Optional[str] = None,
-        meta: Optional[dict] = None,
     ) -> "Tensor":
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._grad_fn = grad_fn
-            out._op = op
-            out._op_meta = meta
         return out
 
     @property
@@ -130,10 +119,9 @@ class Tensor:
         """Zero the gradient in place.
 
         The gradient array is kept (and filled with zeros) rather than
-        dropped so that buffers referenced by compiled tape replays —
-        and by optimizers holding views — survive across steps without
-        reallocation.  A tensor that never received a gradient keeps
-        ``grad is None``.
+        dropped so that buffers referenced by optimizers holding views
+        survive across steps without reallocation.  A tensor that never
+        received a gradient keeps ``grad is None``.
         """
         if self.grad is not None:
             self.grad.fill(0.0)
@@ -227,7 +215,7 @@ class Tensor:
                 _unbroadcast(grad, other.data.shape),
             )
 
-        return Tensor._make(out_data, (self, other), grad_fn, op="add")
+        return Tensor._make(out_data, (self, other), grad_fn)
 
     __radd__ = __add__
 
@@ -235,7 +223,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (-grad,)
 
-        return Tensor._make(-self.data, (self,), grad_fn, op="neg")
+        return Tensor._make(-self.data, (self,), grad_fn)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
@@ -247,7 +235,7 @@ class Tensor:
                 _unbroadcast(-grad, other.data.shape),
             )
 
-        return Tensor._make(out_data, (self, other), grad_fn, op="sub")
+        return Tensor._make(out_data, (self, other), grad_fn)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other) - self
@@ -262,7 +250,7 @@ class Tensor:
                 _unbroadcast(grad * self.data, other.data.shape),
             )
 
-        return Tensor._make(out_data, (self, other), grad_fn, op="mul")
+        return Tensor._make(out_data, (self, other), grad_fn)
 
     __rmul__ = __mul__
 
@@ -279,7 +267,7 @@ class Tensor:
                 ),
             )
 
-        return Tensor._make(out_data, (self, other), grad_fn, op="div")
+        return Tensor._make(out_data, (self, other), grad_fn)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return self._coerce(other) / self
@@ -292,9 +280,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad * exponent * self.data ** (exponent - 1),)
 
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="pow", meta={"exponent": exponent}
-        )
+        return Tensor._make(out_data, (self,), grad_fn)
 
     # ------------------------------------------------------------------
     # matrix ops
@@ -323,7 +309,7 @@ class Tensor:
                 grad_b = grad_b.reshape(b.shape)
             return (grad_a, grad_b)
 
-        return Tensor._make(out_data, (self, other), grad_fn, op="matmul")
+        return Tensor._make(out_data, (self, other), grad_fn)
 
     __matmul__ = matmul
 
@@ -335,9 +321,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad.transpose(inverse),)
 
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="transpose", meta={"order": tuple(order)}
-        )
+        return Tensor._make(out_data, (self,), grad_fn)
 
     @property
     def T(self) -> "Tensor":
@@ -352,9 +336,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad.reshape(original),)
 
-        return Tensor._make(
-            out_data, (self,), grad_fn, op="reshape", meta={"shape": tuple(shape)}
-        )
+        return Tensor._make(out_data, (self,), grad_fn)
 
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
@@ -365,7 +347,7 @@ class Tensor:
             np.add.at(full, key, grad)
             return (full,)
 
-        return Tensor._make(out_data, (self,), grad_fn, op="getitem", meta={"key": key})
+        return Tensor._make(out_data, (self,), grad_fn)
 
     # ------------------------------------------------------------------
     # reductions
@@ -385,13 +367,7 @@ class Tensor:
                     grad_expanded = np.expand_dims(grad_expanded, a)
             return (np.broadcast_to(grad_expanded, original_shape).copy(),)
 
-        return Tensor._make(
-            out_data,
-            (self,),
-            grad_fn,
-            op="sum",
-            meta={"axis": axis, "keepdims": keepdims},
-        )
+        return Tensor._make(out_data, (self,), grad_fn)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -416,13 +392,7 @@ class Tensor:
             np.put_along_axis(grad_in, idx, grad_vals, axis)
             return (grad_in,)
 
-        return Tensor._make(
-            out_data,
-            (self,),
-            grad_fn,
-            op="max",
-            meta={"axis": axis, "keepdims": keepdims},
-        )
+        return Tensor._make(out_data, (self,), grad_fn)
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
@@ -433,7 +403,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad * mask,)
 
-        return Tensor._make(np.where(mask, self.data, 0.0), (self,), grad_fn, op="relu")
+        return Tensor._make(np.where(mask, self.data, 0.0), (self,), grad_fn)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -441,7 +411,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad * (1.0 - out_data * out_data),)
 
-        return Tensor._make(out_data, (self,), grad_fn, op="tanh")
+        return Tensor._make(out_data, (self,), grad_fn)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -449,7 +419,7 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad * out_data * (1.0 - out_data),)
 
-        return Tensor._make(out_data, (self,), grad_fn, op="sigmoid")
+        return Tensor._make(out_data, (self,), grad_fn)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -457,13 +427,13 @@ class Tensor:
         def grad_fn(grad: np.ndarray):
             return (grad * out_data,)
 
-        return Tensor._make(out_data, (self,), grad_fn, op="exp")
+        return Tensor._make(out_data, (self,), grad_fn)
 
     def log(self) -> "Tensor":
         def grad_fn(grad: np.ndarray):
             return (grad / self.data,)
 
-        return Tensor._make(np.log(self.data), (self,), grad_fn, op="log")
+        return Tensor._make(np.log(self.data), (self,), grad_fn)
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +457,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             pieces.append(grad[tuple(index)])
         return tuple(pieces)
 
-    return Tensor._make(out_data, tuple(tensors), grad_fn, op="concat", meta={"axis": axis})
+    return Tensor._make(out_data, tuple(tensors), grad_fn)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -501,7 +471,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         pieces = np.split(grad, len(tensors), axis=axis)
         return tuple(np.squeeze(piece, axis=axis) for piece in pieces)
 
-    return Tensor._make(out_data, tuple(tensors), grad_fn, op="stack", meta={"axis": axis})
+    return Tensor._make(out_data, tuple(tensors), grad_fn)
 
 
 def gather_rows(tensor: Tensor, indices: np.ndarray) -> Tensor:
@@ -522,9 +492,7 @@ def gather_rows(tensor: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(grad_in, indices, grad)
         return (grad_in,)
 
-    return Tensor._make(
-        out_data, (tensor,), grad_fn, op="gather", meta={"indices": indices}
-    )
+    return Tensor._make(out_data, (tensor,), grad_fn)
 
 
 def pad_rows(tensor: Tensor, total_rows: int) -> Tensor:
@@ -543,4 +511,4 @@ def pad_rows(tensor: Tensor, total_rows: int) -> Tensor:
     def grad_fn(grad: np.ndarray):
         return (grad[:n],)
 
-    return Tensor._make(out_data, (tensor,), grad_fn, op="pad_rows", meta={"rows": n})
+    return Tensor._make(out_data, (tensor,), grad_fn)

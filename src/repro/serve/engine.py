@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.magic import Magic
-from repro.exceptions import CompilationError, ServeError
+from repro.exceptions import ServeError
 from repro.features.acfg import ACFG
 from repro.features.pipeline import (
     ExtractionFailure,
@@ -50,7 +50,6 @@ from repro.features.pipeline import (
     execute_unit,
     resolve_worker,
 )
-from repro.nn.tape import CompiledModel
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ArchiveInfo, load, load_archive
 from repro.similarity import (
@@ -61,16 +60,10 @@ from repro.similarity import (
 )
 from repro.testing.faults import FaultPlan
 from repro.train.batching import BatchCollator
+from repro.train.trainer import Trainer
 
 #: Default bound on the content-hash prediction cache.
 DEFAULT_CACHE_SIZE = 1024
-
-#: Forward chunk size — matches ``Trainer.predict_proba`` so the
-#: compiled path stays bitwise-comparable with ``Magic.predict_proba``.
-_FORWARD_CHUNK = 64
-
-#: Dtypes the serving path accepts for ``infer_dtype``.
-_INFER_DTYPES = ("float64", "float32")
 
 
 @dataclasses.dataclass
@@ -170,20 +163,6 @@ class InferenceEngine:
     fault_plan:
         Deterministic fault injection for tests; indices refer to
         positions within one ``classify_texts`` batch.
-    compiled:
-        Route GraphBatch-capable models through the :mod:`repro.nn.tape`
-        replay engine (capture once per collated batch shape, replay on
-        repeats).  Float64 replay is bit-exact with the eager path; a
-        model the tape cannot record silently falls back to eager.
-    infer_dtype:
-        ``"float64"`` (default, bit-exact) or ``"float32"`` (compiled
-        replay only; probabilities are cast back to float64 at the
-        serving boundary).
-    collator:
-        A shared memoizing :class:`BatchCollator`; a private one is
-        created when omitted.  Combined with the content-keyed
-        scaled-ACFG cache, repeat collations of identical graph sets
-        reuse their merged block-diagonal operators.
     """
 
     def __init__(
@@ -197,9 +176,6 @@ class InferenceEngine:
         fingerprint_iterations: int = DEFAULT_WL_ITERATIONS,
         max_vertices: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        compiled: bool = True,
-        infer_dtype: str = "float64",
-        collator: Optional[BatchCollator] = None,
     ) -> None:
         if not magic.scaler.is_fitted:
             raise ServeError(
@@ -213,22 +189,12 @@ class InferenceEngine:
                 "fingerprint_iterations must be >= 0, got "
                 f"{fingerprint_iterations}"
             )
-        if infer_dtype not in _INFER_DTYPES:
-            raise ServeError(
-                f"infer_dtype must be one of {_INFER_DTYPES}, got {infer_dtype!r}"
-            )
-        if infer_dtype != "float64" and not compiled:
-            raise ServeError(
-                "float32 inference is implemented by the compiled tape only; "
-                "drop --no-compiled or use float64"
-            )
         self.magic = magic
         self.model_info = model_info
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.cache_size = cache_size
         self.max_vertices = max_vertices
         self.fault_plan = fault_plan
-        self.infer_dtype = infer_dtype
         self._spec = resolve_worker("text")
         self._cache: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._cache_lock = threading.Lock()
@@ -244,26 +210,18 @@ class InferenceEngine:
                 iterations=fingerprint_iterations,
                 max_entries=cache_size,
             )
-        # GraphBatch-capable models get the shared collate memo and
-        # (opt-out) the tape cache; raw-ACFG models keep the eager
-        # Magic.predict_proba path untouched.
+        # GraphBatch-capable models collate every forward chunk afresh:
+        # only listings that missed the exact cache reach the forward,
+        # so a collate memo would almost never hit.  The collator stays
+        # for its call counters (``collator_stats``).
         self._collator: Optional[BatchCollator] = None
-        self._compiled: Optional[CompiledModel] = None
         if getattr(magic.model, "accepts_graph_batch", False):
-            self._collator = collator if collator is not None else BatchCollator(
+            self._collator = BatchCollator(
                 normalize_propagation=getattr(
                     magic.model, "normalize_propagation", True
-                )
+                ),
+                max_entries=0,
             )
-            if compiled:
-                self._compiled = CompiledModel(magic.model, dtype=infer_dtype)
-        # Content-keyed cache of *scaled* ACFGs: scaling is per-sample
-        # deterministic, so repeats present the same objects to the
-        # collator and its identity-keyed memo hits.  Kept independent
-        # of the prediction cache so cache_size=0 (no result caching)
-        # still reuses merged operators.
-        self._scaled: "OrderedDict[str, ACFG]" = OrderedDict()
-        self._scaled_bound = DEFAULT_CACHE_SIZE
 
     # -- constructors over the registry -------------------------------
 
@@ -381,9 +339,7 @@ class InferenceEngine:
 
         if pending:
             started = time.perf_counter()
-            probabilities = self._predict_proba(
-                [(key, acfg) for _, key, acfg in pending]
-            )
+            probabilities = self._predict_proba([acfg for _, _, acfg in pending])
             self.metrics.observe_stage(
                 "forward", time.perf_counter() - started
             )
@@ -438,76 +394,25 @@ class InferenceEngine:
         )
         return match, signature
 
-    def _predict_proba(
-        self, keyed_acfgs: Sequence[Tuple[str, ACFG]]
-    ) -> np.ndarray:
-        """Per-family probabilities for ``(content_key, acfg)`` pairs.
+    def _predict_proba(self, acfgs: Sequence[ACFG]) -> np.ndarray:
+        """Per-family probabilities for freshly extracted ACFGs.
 
-        GraphBatch models run through the shared collator (and, when
-        enabled, the compiled tape) in the same 64-graph chunks as
+        The same scaling and chunked eager forward as
         ``Magic.predict_proba``, so the float64 output is bitwise
-        identical to the plain path.  Anything else defers to
-        ``Magic.predict_proba`` unchanged.
+        identical to the plain path.
         """
-        if self._collator is None:
-            return self.magic.predict_proba([acfg for _, acfg in keyed_acfgs])
-        scaled = self._scaled_acfgs(keyed_acfgs)
-        model = self.magic.model
-        model.train(False)
-        chunks = []
-        for start in range(0, len(scaled), _FORWARD_CHUNK):
-            batch = self._collator(scaled[start : start + _FORWARD_CHUNK])
-            log_probs: Optional[np.ndarray] = None
-            if self._compiled is not None:
-                try:
-                    log_probs = self._compiled.infer(batch)
-                except CompilationError:
-                    self._compiled = None  # permanent eager fallback
-            if log_probs is None:
-                log_probs = model(batch).data
-            if log_probs.dtype != np.float64:
-                # float32 stays inside the tape; probabilities leave the
-                # serving boundary as float64 like every other path.
-                log_probs = log_probs.astype(np.float64)
-            chunks.append(np.exp(log_probs))
-        return np.concatenate(chunks, axis=0)
+        scaled = self.magic.scaler.transform(acfgs)
+        return Trainer.predict_proba(self.magic.model, scaled, collator=self._collator)
 
-    def _scaled_acfgs(
-        self, keyed_acfgs: Sequence[Tuple[str, ACFG]]
-    ) -> List[ACFG]:
-        """Scaled ACFGs, reused by content key across requests.
+    def compile_stats(self) -> None:
+        """Always ``None``: there is no compiled execution path.
 
-        ``AttributeScaler.transform`` is per-sample (fixed ``mean_`` /
-        ``std_``), so caching individual scaled graphs is bitwise
-        identical to scaling the whole batch — and keeps object ids
-        stable so the collator memo can hit on repeat graph sets.
+        Kept only for the benchmark harness, which still reads it.
         """
-        out: List[Optional[ACFG]] = []
-        missing: List[Tuple[int, str, ACFG]] = []
-        for key, acfg in keyed_acfgs:
-            hit = self._scaled.get(key)
-            if hit is not None:
-                self._scaled.move_to_end(key)
-            else:
-                missing.append((len(out), key, acfg))
-            out.append(hit)
-        if missing:
-            fresh = self.magic.scaler.transform([acfg for _, _, acfg in missing])
-            for (position, key, _), scaled in zip(missing, fresh):
-                out[position] = scaled
-                self._scaled[key] = scaled
-            while len(self._scaled) > self._scaled_bound:
-                self._scaled.popitem(last=False)
-        return out  # type: ignore[return-value] — every slot is filled
-
-    def compile_stats(self) -> Optional[Dict]:
-        """Tape-cache counters (``None`` when compiled execution is off)."""
-        if self._compiled is None:
-            return None
-        return self._compiled.stats()
+        return None
 
     def collator_stats(self) -> Optional[Dict[str, int]]:
-        """Shared collate-memo counters (``None`` for raw-ACFG models)."""
+        """Collate call counters (``None`` for raw-ACFG models)."""
         if self._collator is None:
             return None
         return {

@@ -97,8 +97,6 @@ def inference_service(
     similar_threshold: Optional[float] = None,
     fingerprint_iterations: Optional[int] = None,
     fault_plan=None,
-    compiled: bool = True,
-    infer_dtype: str = "float64",
 ):
     """Entrypoint factory run *inside* each fleet worker process.
 
@@ -106,9 +104,7 @@ def inference_service(
     nothing callable crosses the pipe; the returned handler answers one
     ``[(name, text), ...]`` batch per message.  Loading goes through the
     registry, so every replica independently verifies the archive's
-    integrity before serving.  The compiled tape cache lives inside this
-    process, so a respawned worker simply re-captures on its first
-    batch of each shape.
+    integrity before serving.
     """
     kwargs = {}
     if fingerprint_iterations is not None:
@@ -121,8 +117,6 @@ def inference_service(
         similar_threshold=similar_threshold,
         max_vertices=max_vertices,
         fault_plan=fault_plan,
-        compiled=compiled,
-        infer_dtype=infer_dtype,
         **kwargs,
     )
     return _InferenceHandler(engine)
@@ -227,10 +221,6 @@ class FleetDispatcher:
         = None`` keeps the tier off).  Each replica keeps its own
         fingerprint index; fixed hashing seeds keep their fingerprints
         mutually comparable.
-    compiled, infer_dtype:
-        Forwarded into each worker's :class:`InferenceEngine`; the tape
-        cache is per-process, so respawned replicas re-capture on their
-        first batch of each shape.
     """
 
     def __init__(
@@ -248,21 +238,12 @@ class FleetDispatcher:
         fingerprint_iterations: Optional[int] = None,
         fault_plan=None,
         metrics: Optional[ServeMetrics] = None,
-        compiled: bool = True,
-        infer_dtype: str = "float64",
     ) -> None:
         if num_workers < 1:
             raise FleetError(f"num_workers must be >= 1, got {num_workers}")
         if max_batch_size < 1:
             raise FleetError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
-            )
-        if infer_dtype != "float64" and not compiled:
-            # Fail fast in the parent: otherwise every replica would die
-            # at engine construction and surface as a startup timeout.
-            raise FleetError(
-                "float32 inference is implemented by the compiled tape only; "
-                "drop --no-compiled or use float64"
             )
         self.root = os.path.abspath(root)
         self.name = name
@@ -278,8 +259,6 @@ class FleetDispatcher:
         self.similar_threshold = similar_threshold
         self.fingerprint_iterations = fingerprint_iterations
         self.fault_plan = fault_plan
-        self.compiled = compiled
-        self.infer_dtype = infer_dtype
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._lock = threading.Lock()
         self._queue: Deque[_FleetRequest] = deque()
@@ -407,8 +386,6 @@ class FleetDispatcher:
                 "similar_threshold": self.similar_threshold,
                 "fingerprint_iterations": self.fingerprint_iterations,
                 "fault_plan": self.fault_plan,
-                "compiled": self.compiled,
-                "infer_dtype": self.infer_dtype,
             },
         )
         worker.start(wait_ready=self.start_timeout)

@@ -69,10 +69,6 @@ class ServeMetrics:
                 if kind:
                     self._failures_by_kind[kind] += 1
 
-    def observe_cache(self, hit: bool) -> None:
-        """Back-compat shim: a plain hit is an exact-tier hit."""
-        self.observe_cache_tier("exact" if hit else "miss")
-
     def observe_cache_tier(
         self, tier: str, similarity: Optional[float] = None
     ) -> None:
@@ -117,8 +113,6 @@ class ServeMetrics:
         """A JSON-ready view of everything observed so far."""
         with self._lock:
             total = self._requests_ok + self._requests_failed
-            cache_hits = self._cache_exact_hits + self._cache_similar_hits
-            cache_total = cache_hits + self._cache_misses
             batches = sum(self._batch_sizes.values())
             batched_requests = sum(
                 size * count for size, count in self._batch_sizes.items()
@@ -137,15 +131,9 @@ class ServeMetrics:
                     )),
                 },
                 "cache": {
-                    # "hits" (both tiers combined) and "hit_rate" predate
-                    # the tiered cache and stay for dashboard compat.
-                    "hits": cache_hits,
                     "exact_hits": self._cache_exact_hits,
                     "similar_hits": self._cache_similar_hits,
                     "misses": self._cache_misses,
-                    "hit_rate": (
-                        cache_hits / cache_total if cache_total else 0.0
-                    ),
                     "similarity_histogram": {
                         edge: count for edge, count in sorted(
                             self._similarity_bins.items()

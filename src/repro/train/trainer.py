@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.adv.attack import perturb_batch_scaled
-from repro.exceptions import CompilationError, TrainingDivergedError, TrainingError
+from repro.exceptions import TrainingDivergedError, TrainingError
 from repro.features.acfg import ACFG
 from repro.nn.clip import clip_grad_norm
 from repro.nn.layers import Module
 from repro.nn.loss import nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import Adam
-from repro.nn.tape import CompiledModel
 from repro.train.batching import BatchCollator, iterate_minibatches
 from repro.train.metrics import ClassificationReport, evaluate_predictions
 
@@ -101,22 +99,15 @@ class TrainingConfig:
     early, marks the divergence on the :class:`TrainingHistory`, and
     returns the best parameters seen so far.
 
-    ``compiled`` routes GraphBatch-capable models through the
-    :mod:`repro.nn.tape` replay engine: each distinct batch signature is
-    captured once (one eager pass) and replayed across epochs with
-    preallocated buffers.  Replay is bit-exact with the eager float64
-    path, so losses and final parameters are unchanged; a model the tape
-    cannot compile falls back to eager for the rest of the run with a
-    ``RuntimeWarning``.
-
     ``adversarial`` switches on adversarial training: every batch is
     perturbed by a short inner PGD attack and the step descends a
-    clean/adversarial loss mix (see :class:`AdversarialConfig`).  The
-    inner attack needs input gradients, which only the eager autograd
-    path delivers, so adversarial runs ignore ``compiled`` and stay
-    eager.  Inner-attack randomness is seeded per ``(seed, epoch,
-    batch)`` via ``SeedSequence``, so a fixed seed reproduces the run
-    bit for bit.
+    clean/adversarial loss mix (see :class:`AdversarialConfig`).
+    Inner-attack randomness is seeded per ``(seed, epoch, batch)`` via
+    ``SeedSequence``, so a fixed seed reproduces the run bit for bit.
+
+    ``compiled`` is accepted and ignored: the eager autograd engine is
+    the only execution path.  It stays only for the benchmark harness,
+    which still passes it.
     """
 
     epochs: int = 100
@@ -127,11 +118,11 @@ class TrainingConfig:
     lr_decay_patience: int = 2
     grad_clip_norm: Optional[float] = None
     halt_on_divergence: bool = True
-    compiled: bool = True
+    compiled: dataclasses.InitVar[bool] = True
     seed: int = 0
     adversarial: Optional[AdversarialConfig] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, compiled: bool) -> None:
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -185,11 +176,8 @@ class Trainer:
         #: :meth:`evaluate` so the fixed validation chunks collate once
         #: per fold instead of once per consumer.
         self.last_collator: Optional[BatchCollator] = None
-        #: The tape cache of the most recent ``train`` run (``None``
-        #: before training, with ``compiled=False``, or for models the
-        #: tape cannot record).  Post-training evaluation passes it back
-        #: into :meth:`evaluate` so validation chunks keep replaying.
-        self.last_compiled: Optional[CompiledModel] = None
+        #: Always ``None``; kept only for the benchmark harness.
+        self.last_compiled: None = None
 
     def train(
         self,
@@ -230,17 +218,7 @@ class Trainer:
         # miss, but the fixed validation chunks hit on every epoch.
         collator = _collator_for(model)
         self.last_collator = collator
-        # Tape replay needs the collated GraphBatch form; raw-ACFG
-        # models stay eager.  Training always compiles in float64, so
-        # replayed losses/gradients are bit-exact with the eager loop.
-        # Adversarial training forces eager: the inner attack needs the
-        # batch attributes as a requires_grad leaf, which tape replay
-        # has no channel for.
         adversarial = config.adversarial
-        compiled: Optional[CompiledModel] = None
-        if config.compiled and collator is not None and adversarial is None:
-            compiled = CompiledModel(model)
-        self.last_compiled = compiled
 
         for epoch in range(config.epochs):
             model.train(True)
@@ -278,57 +256,31 @@ class Trainer:
                 # passes accumulated throwaway gradients into the model
                 # parameters, which must not leak into the real step.
                 optimizer.zero_grad()
-                if compiled is not None:
-                    try:
-                        log_prob_data = compiled.forward(collator(batch))  # type: ignore[misc]
-                    except CompilationError as exc:
-                        warnings.warn(
-                            f"compiled execution unavailable ({exc}); "
-                            "training falls back to the eager path",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        compiled = None
-                        self.last_compiled = None
-                if compiled is not None:
-                    # Mean NLL computed outside the tape; the picked-sum
-                    # times 1/n matches nll_loss's arithmetic bit for bit.
-                    rows = np.arange(len(labels))
-                    loss_value = float(
-                        -(log_prob_data[rows, labels].sum() * (1.0 / len(labels)))
+                # "is not None", not truthiness: an empty collator has
+                # __len__() == 0 and would read as False before its
+                # first entry is cached.
+                log_probs = model(
+                    collator(batch) if collator is not None else batch
+                )
+                loss = nll_loss(log_probs, labels)
+                if attacked is not None:
+                    assert adversarial is not None
+                    # Attacked graphs are fresh objects every batch, so
+                    # they bypass the id-keyed collator memo and collate
+                    # directly inside the model.
+                    adversarial_loss = nll_loss(model(attacked), labels)
+                    loss = (
+                        loss * (1.0 - adversarial.weight)
+                        + adversarial_loss * adversarial.weight
                     )
-                else:
-                    # "is not None", not truthiness: an empty collator
-                    # has __len__() == 0 and would read as False before
-                    # its first entry is cached.
-                    log_probs = model(
-                        collator(batch) if collator is not None else batch
-                    )
-                    loss = nll_loss(log_probs, labels)
-                    if attacked is not None:
-                        assert adversarial is not None
-                        # Attacked graphs are fresh objects every batch,
-                        # so they bypass the id-keyed collator memo and
-                        # collate directly inside the model.
-                        adversarial_loss = nll_loss(model(attacked), labels)
-                        loss = (
-                            loss * (1.0 - adversarial.weight)
-                            + adversarial_loss * adversarial.weight
-                        )
-                    loss_value = loss.item()
+                loss_value = loss.item()
                 if not np.isfinite(loss_value):
                     self._diverged(
                         "training loss is not finite",
                         history, epoch, batch_index, loss_value,
                     )
                     break
-                if compiled is not None:
-                    # d(mean NLL)/d(log_probs): -1/n at the label column.
-                    seed = np.zeros_like(log_prob_data)
-                    seed[rows, labels] = -(1.0 / len(labels))
-                    compiled.backward(seed)
-                else:
-                    loss.backward()
+                loss.backward()
                 if not self._gradients_finite(model):
                     self._diverged(
                         "gradients are not finite",
@@ -352,7 +304,7 @@ class Trainer:
 
             if validation_acfgs:
                 validation_loss = self.evaluate_loss(
-                    model, validation_acfgs, collator=collator, compiled=compiled
+                    model, validation_acfgs, collator=collator
                 )
                 history.validation_losses.append(validation_loss)
                 monitored = validation_loss
@@ -414,32 +366,20 @@ class Trainer:
         acfgs: Sequence[ACFG],
         batch_size: int = 64,
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
     ) -> np.ndarray:
         """Class probabilities over ``acfgs`` (gradient-free, eval mode).
 
         Chunks are collated into ``GraphBatch`` objects for models that
         accept them; pass a shared ``collator`` to reuse merged operators
         across repeated evaluations (the training loop does this for its
-        per-epoch validation pass).  Pass a ``compiled`` tape cache to
-        replay the fixed chunk signatures instead of rebuilding the op
-        graph per call; float64 replay keeps the output bit-exact.
+        per-epoch validation pass).
         """
         model.train(False)
         if collator is None:
             collator = _collator_for(model)
-        if collator is None:
-            compiled = None  # raw-ACFG models have no GraphBatch to replay
         chunks = []
         for start in range(0, len(acfgs), batch_size):
             batch = list(acfgs[start : start + batch_size])
-            if compiled is not None:
-                try:
-                    log_prob_data = compiled.infer(collator(batch))
-                    chunks.append(np.exp(log_prob_data))
-                    continue
-                except CompilationError:
-                    compiled = None
             log_probs = model(
                 collator(batch) if collator is not None else batch
             )
@@ -452,13 +392,10 @@ class Trainer:
         model: Module,
         acfgs: Sequence[ACFG],
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
     ) -> float:
         """Mean NLL of the true labels under the model."""
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
-        probabilities = cls.predict_proba(
-            model, acfgs, collator=collator, compiled=compiled
-        )
+        probabilities = cls.predict_proba(model, acfgs, collator=collator)
         eps = 1e-15
         picked = np.clip(probabilities[np.arange(len(labels)), labels], eps, 1.0)
         return float(-np.log(picked).mean())
@@ -470,18 +407,15 @@ class Trainer:
         acfgs: Sequence[ACFG],
         family_names: Optional[Sequence[str]] = None,
         collator: Optional[BatchCollator] = None,
-        compiled: Optional[CompiledModel] = None,
     ) -> ClassificationReport:
         """Full precision/recall/F1/accuracy/log-loss report.
 
-        Pass the trainer's ``last_collator`` (and ``last_compiled``) to
-        reuse the validation chunks' memoized ``GraphBatch`` operators
-        and compiled tapes instead of re-collating and re-recording.
+        Pass the trainer's ``last_collator`` to reuse the validation
+        chunks' memoized ``GraphBatch`` operators instead of
+        re-collating them.
         """
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
-        probabilities = cls.predict_proba(
-            model, acfgs, collator=collator, compiled=compiled
-        )
+        probabilities = cls.predict_proba(model, acfgs, collator=collator)
         return evaluate_predictions(
             labels,
             probabilities,

@@ -73,7 +73,7 @@ class TestPoolSafety:
     def test_worker_spec_fn_lambda_flagged_hooks_legal(self):
         findings = lint_text(
             """\
-            from repro.features.pool import WorkerSpec
+            from repro.features.pipeline import WorkerSpec
 
             SPEC = WorkerSpec(fn=lambda payload: payload, validate=lambda r: r)
             """,

@@ -45,7 +45,7 @@ class TestModuleSystem:
         buffer = layer.weight.grad
         layer.zero_grad()
         # In-place zero fill: the buffer identity is part of the
-        # contract (compiled tapes accumulate into it across steps).
+        # contract (backward accumulates into it across steps).
         assert layer.weight.grad is buffer
         assert not layer.weight.grad.any()
 

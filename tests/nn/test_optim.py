@@ -114,7 +114,7 @@ class TestAdam:
         p2.grad = np.ones(1)
         buffers = (p1.grad, p2.grad)
         Adam([p1, p2], lr=0.1).zero_grad()
-        # Cleared in place, not dropped: the arrays survive for tape
-        # replays and accumulate from zero on the next backward.
+        # Cleared in place, not dropped: the arrays survive and
+        # accumulate from zero on the next backward.
         assert p1.grad is buffers[0] and p2.grad is buffers[1]
         assert not p1.grad.any() and not p2.grad.any()

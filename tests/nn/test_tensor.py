@@ -83,8 +83,7 @@ class TestBackwardMechanics:
         (x * 2).backward()
         buffer = x.grad
         x.zero_grad()
-        # The array survives (tape replays hold references to it) and
-        # is zero-filled rather than dropped.
+        # The array survives and is zero-filled rather than dropped.
         assert x.grad is buffer
         np.testing.assert_array_equal(x.grad, [0.0])
 

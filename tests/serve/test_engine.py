@@ -73,7 +73,7 @@ class TestPredictionCache:
         snapshot = engine.metrics.snapshot()
         # The cached request never reached the model.
         assert snapshot["latency_ms"]["forward"]["count"] == forwards
-        assert snapshot["cache"]["hits"] == 1
+        assert snapshot["cache"]["exact_hits"] == 1
 
     def test_failures_are_cached_too(self, engine):
         first = engine.classify_text("", name="empty-1")
@@ -99,7 +99,7 @@ class TestPredictionCache:
         snapshot = engine.metrics.snapshot()
         # Only two extractions ran: the duplicate never reached the worker.
         assert snapshot["latency_ms"]["extract"]["count"] == 2
-        assert snapshot["cache"]["hits"] == 1
+        assert snapshot["cache"]["exact_hits"] == 1
 
     def test_lru_eviction(self, registry_root, listing_samples):
         engine = InferenceEngine.from_registry(
@@ -218,74 +218,30 @@ class TestArchiveSources:
             np.testing.assert_array_equal(result.probabilities, row)
 
 
-class TestCompiledServing:
-    def test_compiled_output_equals_eager_engine(
-        self, registry_root, listing_samples
+class TestForwardPath:
+    def test_uncached_passes_equal_direct_forward(
+        self, registry_root, tiny_magic, listing_samples
     ):
-        # cache_size=0 so the second pass exercises a tape replay (and
-        # the scaled-ACFG + collator memos) instead of the result cache.
-        compiled = InferenceEngine.from_registry(
+        # cache_size=0: both passes run the forward instead of the
+        # result cache, and both must match the direct system bit for bit.
+        engine = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, cache_size=0
         )
-        eager = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, cache_size=0, compiled=False
-        )
+        texts = listing_samples[:4]
+        acfgs = [tiny_magic.acfg_from_asm(t, name=n) for n, t in texts]
+        direct = tiny_magic.predict_proba(acfgs)
         for _ in range(2):
-            for expected, actual in zip(
-                eager.classify_texts(listing_samples[:4]),
-                compiled.classify_texts(listing_samples[:4]),
-            ):
-                assert actual.family == expected.family
-                np.testing.assert_array_equal(
-                    actual.probabilities, expected.probabilities
-                )
-        stats = compiled.compile_stats()
-        assert stats["captures"] >= 1 and stats["replays"] >= 1
-        assert eager.compile_stats() is None
+            for result, row in zip(engine.classify_texts(texts), direct):
+                assert result.label == int(row.argmax())
+                np.testing.assert_array_equal(result.probabilities, row)
 
-    def test_repeat_collations_hit_shared_memo(
+    def test_collator_counts_every_forward_chunk(
         self, registry_root, listing_samples
     ):
         engine = InferenceEngine.from_registry(
             registry_root, MODEL_NAME, cache_size=0
         )
         engine.classify_texts(listing_samples[:3])
-        before = engine.collator_stats()
-        assert before["misses"] >= 1
-        # Same texts -> same cached scaled ACFG objects -> identity-keyed
-        # collator memo hit; no new merged operators are built.
         engine.classify_texts(listing_samples[:3])
-        after = engine.collator_stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_float32_dtype_close_to_float64(
-        self, registry_root, listing_samples
-    ):
-        reference = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, compiled=False
-        )
-        fast = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, infer_dtype="float32"
-        )
-        for expected, actual in zip(
-            reference.classify_texts(listing_samples[:4]),
-            fast.classify_texts(listing_samples[:4]),
-        ):
-            # Probabilities leave the boundary as float64 either way.
-            assert actual.probabilities.dtype == np.float64
-            np.testing.assert_allclose(
-                actual.probabilities, expected.probabilities, atol=1e-4
-            )
-            assert actual.family == expected.family
-
-    def test_invalid_dtype_combinations_rejected(self, registry_root):
-        with pytest.raises(ServeError, match="infer_dtype"):
-            InferenceEngine.from_registry(
-                registry_root, MODEL_NAME, infer_dtype="float16"
-            )
-        with pytest.raises(ServeError, match="compiled tape only"):
-            InferenceEngine.from_registry(
-                registry_root, MODEL_NAME,
-                compiled=False, infer_dtype="float32",
-            )
+        # No collate memo: each forward chunk is collated afresh.
+        assert engine.collator_stats() == {"hits": 0, "misses": 2, "entries": 0}

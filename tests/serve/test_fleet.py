@@ -138,19 +138,17 @@ class TestSupervision:
             assert sum(w["respawns"] for w in workers) >= 1
             assert all(w["state"] != "failed" for w in workers)
 
-    def test_compiled_replay_survives_respawn(
+    def test_respawned_replica_answers_bit_identically(
         self, registry_root, listing_samples
     ):
-        """A respawned replica re-captures its tape and keeps answering
-        bit-identically (the compiled cache is per-process state, so a
-        SIGKILL must cost nothing but one re-capture per batch shape)."""
+        """A SIGKILLed replica reloads the same archive on respawn and
+        keeps answering bit-identically."""
         dispatcher = FleetDispatcher(
             registry_root, MODEL_NAME, num_workers=1,
-            batch_timeout=60.0, cache_size=0,  # compiled=True is the default
+            batch_timeout=60.0, cache_size=0,
         )
         name, text = listing_samples[0]
         with dispatcher:
-            # Two sequential singleton submits: capture, then replay.
             before = [
                 dispatcher.submit(text, name=name, timeout=60.0)
                 for _ in range(2)
@@ -175,15 +173,6 @@ class TestSupervision:
             assert result.family == before[0].family
             np.testing.assert_array_equal(
                 result.probabilities, before[0].probabilities
-            )
-
-    def test_float32_without_compiled_fails_fast_in_parent(
-        self, registry_root
-    ):
-        with pytest.raises(FleetError, match="compiled tape only"):
-            FleetDispatcher(
-                registry_root, MODEL_NAME, num_workers=1,
-                compiled=False, infer_dtype="float32",
             )
 
     def test_hung_worker_is_killed_at_the_batch_deadline(

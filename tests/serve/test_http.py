@@ -127,7 +127,7 @@ class TestEndToEnd:
         assert not first["cached"]
         assert second["cached"]
         assert second["probabilities"] == first["probabilities"]
-        assert metrics["cache"]["hits"] == 1
+        assert metrics["cache"]["exact_hits"] == 1
 
 
 class TestEndpoints:

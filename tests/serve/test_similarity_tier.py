@@ -123,9 +123,6 @@ class TestTierMetrics:
         assert cache["exact_hits"] == 1
         assert cache["similar_hits"] == 1
         assert cache["misses"] == 1
-        # Compat: combined hits and hit-rate keep their old meaning.
-        assert cache["hits"] == 2
-        assert cache["hit_rate"] == pytest.approx(2 / 3)
         assert sum(cache["similarity_histogram"].values()) == 1
         (edge,) = cache["similarity_histogram"]
         assert float(edge) >= 0.45

@@ -190,6 +190,36 @@ class TestClassify:
         # The good neighbor was still classified.
         assert "confidence" in captured.out
 
+    def test_classify_unreadable_paths_fail_alone(
+        self, published, listing_file, tmp_path, capsys
+    ):
+        registry, _ = published
+        missing = str(tmp_path / "missing.asm")
+        directory = str(tmp_path)
+        capsys.readouterr()
+        code = main(["classify", "--registry", registry, "--model", "demo",
+                     missing, listing_file, directory])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"FAILED {missing}: " in captured.err
+        assert f"FAILED {directory}: " in captured.err
+        assert f"{listing_file}: " in captured.out
+
+    def test_predict_unreadable_paths_fail_alone(
+        self, published, listing_file, tmp_path, capsys
+    ):
+        _, model_dir = published
+        missing = str(tmp_path / "missing.asm")
+        directory = str(tmp_path)
+        capsys.readouterr()
+        code = main(["predict", "--model-dir", model_dir,
+                     missing, listing_file, directory])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"FAILED {missing}: " in captured.err
+        assert f"FAILED {directory}: " in captured.err
+        assert f"{listing_file}: " in captured.out
+
     def test_oversize_guard(self, published, listing_file, capsys):
         registry, _ = published
         capsys.readouterr()

