@@ -24,7 +24,10 @@ Two entry points:
   maximization differentiable.
 
 Both take input gradients from the eager autograd engine, the only
-execution path.
+execution path.  An iterate is a ``dataclasses.replace`` copy of its
+graph with new attributes: the edge list is shared, and ``offspring`` is
+projected onto :meth:`ACFG.out_degrees
+<repro.features.acfg.ACFG.out_degrees>`.
 """
 
 from __future__ import annotations
@@ -142,25 +145,6 @@ def _mutable_mask(num_channels: int) -> np.ndarray:
     return np.array(
         [name in MUTABLE_CHANNELS for name in names], dtype=np.float64
     )
-
-
-def _with_attributes(
-    acfg: ACFG, attributes: np.ndarray, label: Optional[int] = None
-) -> ACFG:
-    """A copy of ``acfg`` with new attributes, sharing cached operators.
-
-    The adjacency is identical, so the cached CSR propagation operators
-    are shared instead of being re-factorized on every PGD step.
-    """
-    clone = ACFG(
-        adjacency=acfg.adjacency,
-        attributes=attributes,
-        label=acfg.label if label is None else label,
-        name=acfg.name,
-    )
-    clone._propagation_sparse = acfg.propagation_operator_sparse()
-    clone._augmented_sparse = acfg.augmented_adjacency_sparse()
-    return clone
 
 
 def input_gradients(
@@ -287,7 +271,7 @@ class FeatureSpaceAttack:
         step_size = config.resolved_step_size
         for _ in range(config.steps):
             adversarial = [
-                _with_attributes(graph, x)
+                dataclasses.replace(graph, attributes=x)
                 for graph, x in zip(scaled, current)
             ]
             gradients, boundaries, _, probs = input_gradients(
@@ -310,7 +294,7 @@ class FeatureSpaceAttack:
         # Last-iterate check, then settle each sample on its first
         # label-flipping iterate (or the final one if it never flipped).
         final_eval = [
-            _with_attributes(graph, x) for graph, x in zip(scaled, current)
+            dataclasses.replace(graph, attributes=x) for graph, x in zip(scaled, current)
         ]
         final_probs = self.model.predict_proba(
             GraphBatch(
@@ -327,11 +311,11 @@ class FeatureSpaceAttack:
         ]
 
         adversarial_acfgs = [
-            _with_attributes(
+            dataclasses.replace(
                 acfg,
-                project_attributes(
+                attributes=project_attributes(
                     self.scaler.inverse_transform_matrix(x),
-                    acfg.adjacency,
+                    acfg.out_degrees(),
                     lower=bounds[0],
                     upper=bounds[1],
                 ),
@@ -395,7 +379,7 @@ class FeatureSpaceAttack:
         for graph, x, start, bounds in zip(scaled, current, origin, raw_bounds):
             raw = self.scaler.inverse_transform_matrix(x)
             raw = project_attributes(
-                raw, graph.adjacency, lower=bounds[0], upper=bounds[1]
+                raw, graph.out_degrees(), lower=bounds[0], upper=bounds[1]
             )
             back = self.scaler.transform_matrix(raw)
             projected.append(back * mask + start * (1.0 - mask))
@@ -451,7 +435,7 @@ def perturb_batch_scaled(
     attack_loss = float("nan")
     for _ in range(steps):
         adversarial = [
-            _with_attributes(graph, x) for graph, x in zip(acfgs, current)
+            dataclasses.replace(graph, attributes=x) for graph, x in zip(acfgs, current)
         ]
         gradients, boundaries, attack_loss, _ = input_gradients(
             model, adversarial, labels
@@ -467,6 +451,6 @@ def perturb_batch_scaled(
                 origin[index] + epsilon,
             )
     attacked = [
-        _with_attributes(graph, x) for graph, x in zip(acfgs, current)
+        dataclasses.replace(graph, attributes=x) for graph, x in zip(acfgs, current)
     ]
     return attacked, attack_loss

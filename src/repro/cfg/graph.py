@@ -5,8 +5,8 @@ The CFG is the central data structure of MAGIC.  A vertex is a
 instruction of ``u`` falls through to the first instruction of ``v`` or
 branches to some instruction in ``v`` (Section II-A).
 
-The graph exposes the matrices DGCNN consumes (adjacency ``A``, augmented
-adjacency ``Â = A + I``, augmented degree ``D̂``) and a
+The graph exposes the vertex-indexed edge list DGCNN consumes
+(:meth:`edge_index`, from which the ACFG builds ``D̂^-1 Â``) and a
 :meth:`to_networkx` bridge for analysis and visualisation.
 """
 
@@ -126,35 +126,21 @@ class ControlFlowGraph:
         return sum(len(block) for block in self._blocks.values())
 
     # ------------------------------------------------------------------
-    # matrix views (Section III-A notation)
+    # vertex-indexed views (Section III-A notation)
 
     def vertex_index(self) -> Dict[int, int]:
         """Map block start address -> dense vertex index (address order)."""
         return {addr: i for i, addr in enumerate(sorted(self._blocks))}
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """The (dense) adjacency matrix ``A`` in address order.
+    def edge_index(self) -> np.ndarray:
+        """The edges as an ``(E, 2)`` int64 array of vertex indices.
 
-        ``A[i, j] == 1`` iff there is an edge from vertex ``i`` to vertex
-        ``j``.  ``A`` is generally *not* symmetric: the CFG is directed.
+        Row ``(i, j)`` is an edge from vertex ``i`` to vertex ``j``;
+        rows are unique and sorted row-major.  The edges are directed.
         """
         index = self.vertex_index()
-        n = len(index)
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for src, dst in self.edges():
-            matrix[index[src], index[dst]] = 1.0
-        return matrix
-
-    def augmented_adjacency_matrix(self) -> np.ndarray:
-        """``Â = A + I``: self-loops let attributes propagate to self."""
-        matrix = self.adjacency_matrix()
-        np.fill_diagonal(matrix, matrix.diagonal() + 1.0)
-        return matrix
-
-    def augmented_degree_matrix(self) -> np.ndarray:
-        """Diagonal ``D̂`` with ``D̂[i, i] = sum_j Â[i, j]``."""
-        augmented = self.augmented_adjacency_matrix()
-        return np.diag(augmented.sum(axis=1))
+        pairs = [(index[src], index[dst]) for src, dst in self.edges()]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     # ------------------------------------------------------------------
     # interop

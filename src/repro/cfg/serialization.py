@@ -103,25 +103,29 @@ def load_cfg(path: str) -> ControlFlowGraph:
 
 
 def acfg_to_text(
-    adjacency: np.ndarray,
+    edges: np.ndarray,
     attributes: np.ndarray,
     label: Optional[str] = None,
 ) -> str:
     """Serialize a pre-attributed graph to the compact text format.
 
     Line 1: ``n c [label]``; next ``n`` lines: attribute vectors; then one
-    line per edge: ``src dst`` (dense vertex indices).
+    line per edge: ``src dst`` (dense vertex indices), in the order of
+    ``edges`` (an ACFG's edges are sorted row-major).
     """
     n, c = attributes.shape
-    if adjacency.shape != (n, n):
+    edges = np.asarray(edges)
+    if edges.size and (
+        edges.ndim != 2 or edges.shape[1] != 2
+        or edges.min() < 0 or edges.max() >= n
+    ):
         raise SerializationError(
-            f"adjacency {adjacency.shape} does not match {n} attribute rows"
+            f"edges {edges.shape} do not index {n} attribute rows"
         )
     lines = [f"{n} {c}" + (f" {label}" if label else "")]
     for row in attributes:
         lines.append(" ".join(repr(float(v)) for v in row))
-    sources, destinations = np.nonzero(adjacency)
-    for src, dst in zip(sources.tolist(), destinations.tolist()):
+    for src, dst in edges.reshape(-1, 2).tolist():
         lines.append(f"{src} {dst}")
     return "\n".join(lines) + "\n"
 
@@ -129,7 +133,9 @@ def acfg_to_text(
 def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
     """Inverse of :func:`acfg_to_text`.
 
-    Returns ``(adjacency, attributes, label)``.
+    Returns ``(edges, attributes, label)``, with ``edges`` an ``(E, 2)``
+    int64 array in record order.  Any malformed record — from a file or
+    a network peer — raises :class:`SerializationError`.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -141,6 +147,8 @@ def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
         n, c = int(header[0]), int(header[1])
     except ValueError as exc:
         raise SerializationError(f"malformed ACFG header: {lines[0]!r}") from exc
+    if n < 0 or c < 0:
+        raise SerializationError(f"malformed ACFG header: {lines[0]!r}")
     label = header[2] if len(header) > 2 else None
     if len(lines) < 1 + n:
         raise SerializationError(
@@ -153,14 +161,23 @@ def acfg_from_text(text: str) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
             raise SerializationError(
                 f"attribute row {i} has {len(values)} values, expected {c}"
             )
-        attributes[i] = [float(v) for v in values]
-    adjacency = np.zeros((n, n), dtype=np.float64)
+        try:
+            attributes[i] = [float(v) for v in values]
+        except ValueError as exc:
+            raise SerializationError(
+                f"attribute row {i} is not numeric: {lines[1 + i]!r}"
+            ) from exc
+    pairs = []
     for line in lines[1 + n:]:
         parts = line.split()
         if len(parts) != 2:
             raise SerializationError(f"malformed edge line: {line!r}")
-        src, dst = int(parts[0]), int(parts[1])
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise SerializationError(f"malformed edge line: {line!r}") from exc
         if not (0 <= src < n and 0 <= dst < n):
             raise SerializationError(f"edge ({src}, {dst}) out of range for n={n}")
-        adjacency[src, dst] = 1.0
-    return adjacency, attributes, label
+        pairs.append((src, dst))
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return edges, attributes, label

@@ -66,9 +66,10 @@ class GraphBatch:
     ----------
     propagation:
         Sparse CSR ``(N, N)`` block-diagonal propagation operator, where
-        ``N`` is the total vertex count of the batch.  Assembled from the
-        per-graph cached CSR operators, so only the ``n + |E|`` true
-        non-zeros of each graph are stored.
+        ``N`` is the total vertex count of the batch.  Assembled from
+        each graph's CSR operator, which the ACFG builds from its edge
+        list, so only the ``n + |E|`` true non-zeros of each graph are
+        stored and no ``n x n`` matrix is ever formed.
     attributes:
         Dense ``(N, c)`` stacked attribute matrix.
     boundaries:
@@ -89,10 +90,7 @@ class GraphBatch:
         if not acfgs:
             raise ConfigurationError("cannot batch zero graphs")
         blocks = [
-            acfg.propagation_operator_sparse()
-            if normalize_propagation
-            else acfg.augmented_adjacency_sparse()
-            for acfg in acfgs
+            acfg.propagation_operator(normalize_propagation) for acfg in acfgs
         ]
         self.propagation = _block_diag_csr(blocks)
         self.attributes = np.concatenate([a.attributes for a in acfgs], axis=0)

@@ -124,15 +124,16 @@ class GraphConvolutionStack(Module):
     def forward(self, acfg: ACFG) -> Tensor:
         """Compute ``Z^{1:h}`` for one graph: shape ``(n, sum(layer_sizes))``.
 
-        This dense per-graph path is the *reference implementation*; the
-        production path is :meth:`forward_batch`, which runs each layer
-        once over a whole :class:`~repro.core.batched.GraphBatch`.  The
-        two are numerically equivalent (``tests/core/test_batched.py``).
+        This per-graph path is the *reference implementation*: it
+        densifies the graph's CSR operator to an ``(n, n)`` matrix, the
+        only place the program does so.  The production path is
+        :meth:`forward_batch`, which runs each layer once over a whole
+        :class:`~repro.core.batched.GraphBatch`.  The two are numerically
+        equivalent (``tests/core/test_batched.py``).
         """
-        if self.normalize_propagation:
-            propagation = acfg.propagation_operator()
-        else:
-            propagation = acfg.augmented_adjacency()
+        propagation = acfg.propagation_operator(
+            self.normalize_propagation
+        ).toarray()
         z = Tensor(acfg.attributes)
         outputs: List[Tensor] = []
         for index in range(self.num_layers):

@@ -15,8 +15,9 @@ over a larger one cannot leak stale ``*.acfg`` records, because the
 previous directory is replaced wholesale.  Integrity is checked too:
 ``manifest.json`` carries a ``format_version`` and a per-record sha256,
 verified on load (a corrupt record raises
-:class:`~repro.exceptions.DatasetError` naming the file).  Legacy
-checksum-less manifests still load, with a warning.
+:class:`~repro.exceptions.DatasetError` naming the file).  A manifest
+without a ``format_version`` or a record without a ``sha256`` is
+rejected the same way, with a hint to re-save the cache.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import os
 import shutil
 import tempfile
-import warnings
 from typing import List
 
 from repro.cfg.serialization import acfg_from_text, acfg_to_text
@@ -37,8 +37,7 @@ from repro.features.acfg import ACFG
 _MANIFEST = "manifest.json"
 
 #: Manifest schema version.  Version 2 added ``format_version`` itself
-#: and per-record ``sha256`` checksums; manifests without the field are
-#: treated as legacy version 1.
+#: and per-record ``sha256`` checksums; this build reads version 2 only.
 _FORMAT_VERSION = 2
 
 
@@ -60,7 +59,7 @@ def save_dataset(dataset: MalwareDataset, directory: str) -> None:
         records = []
         for index, acfg in enumerate(dataset.acfgs):
             filename = f"{index:06d}.acfg"
-            text = acfg_to_text(acfg.adjacency, acfg.attributes)
+            text = acfg_to_text(acfg.edges, acfg.attributes)
             with open(os.path.join(staging, filename), "w",
                       encoding="utf-8") as fh:
                 fh.write(text)
@@ -118,10 +117,10 @@ def _validated_label(record: dict, num_families: int):
 def load_dataset(directory: str) -> MalwareDataset:
     """Reload a dataset written by :func:`save_dataset`.
 
-    Verifies the per-record checksums when the manifest carries them and
-    validates every label against the family table, so corruption is
-    reported here — naming the offending file — rather than surfacing as
-    an index error mid-training.
+    Verifies every per-record checksum and validates every label
+    against the family table, so corruption is reported here — naming
+    the offending file — rather than surfacing as an index error
+    mid-training.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     try:
@@ -132,17 +131,16 @@ def load_dataset(directory: str) -> MalwareDataset:
     except json.JSONDecodeError as exc:
         raise DatasetError(f"corrupt manifest {manifest_path}: {exc}") from exc
 
-    version = manifest.get("format_version", 1)
-    if version not in (1, _FORMAT_VERSION):
+    if "format_version" not in manifest:
+        raise DatasetError(
+            f"manifest {manifest_path} has no format_version: a legacy "
+            "checksum-less cache; re-save it with save_dataset"
+        )
+    version = manifest["format_version"]
+    if version != _FORMAT_VERSION:
         raise DatasetError(
             f"unsupported cache format_version {version!r} in "
-            f"{manifest_path} (this build reads versions 1-{_FORMAT_VERSION})"
-        )
-    if version == 1:
-        warnings.warn(
-            f"loading legacy checksum-less dataset cache at {directory}; "
-            "re-save it to enable integrity verification",
-            stacklevel=2,
+            f"{manifest_path} (this build reads version {_FORMAT_VERSION})"
         )
 
     family_names = manifest["family_names"]
@@ -156,15 +154,20 @@ def load_dataset(directory: str) -> MalwareDataset:
         except OSError as exc:
             raise DatasetError(f"missing sample file {path}: {exc}") from exc
         expected = record.get("sha256")
-        if expected is not None and _record_digest(text) != expected:
+        if expected is None:
+            raise DatasetError(
+                f"sample file {path} has no sha256 in manifest "
+                f"{manifest_path}; re-save the cache with save_dataset"
+            )
+        if _record_digest(text) != expected:
             raise DatasetError(
                 f"corrupt sample file {path}: sha256 mismatch against the "
                 "manifest (cache was modified or torn after saving)"
             )
-        adjacency, attributes, _ = acfg_from_text(text)
+        edges, attributes, _ = acfg_from_text(text)
         acfgs.append(
             ACFG(
-                adjacency=adjacency,
+                edges=edges,
                 attributes=attributes,
                 label=label,
                 name=record["name"],

@@ -22,6 +22,7 @@ We reproduce those generating mechanisms directly:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -228,12 +229,7 @@ def generate_yancfg_dataset(
         labels = _apply_label_noise(labels, YANCFG_FAMILIES, noise_rng)
 
     acfgs = [
-        ACFG(
-            adjacency=acfg.adjacency,
-            attributes=acfg.attributes,
-            label=label,
-            name=name,
-        )
+        dataclasses.replace(acfg, label=label, name=name)
         for acfg, label, name in zip(acfgs_raw, labels, names)
     ]
     return MalwareDataset(

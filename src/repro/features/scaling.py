@@ -9,6 +9,7 @@ standardizes attributes over the *training* split.  The scaler applies
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -75,21 +76,15 @@ class AttributeScaler:
         return np.maximum(raw, 0.0)
 
     def transform(self, acfgs: Sequence[ACFG]) -> List[ACFG]:
-        """Scaled copies of ``acfgs``; adjacency and labels are shared."""
+        """Scaled copies of ``acfgs``; edges and labels are shared."""
         if not self.is_fitted:
             raise FeatureExtractionError("scaler used before fit()")
-        transformed = []
-        for acfg in acfgs:
-            scaled = self.transform_matrix(acfg.attributes)
-            transformed.append(
-                ACFG(
-                    adjacency=acfg.adjacency,
-                    attributes=scaled,
-                    label=acfg.label,
-                    name=acfg.name,
-                )
+        return [
+            dataclasses.replace(
+                acfg, attributes=self.transform_matrix(acfg.attributes)
             )
-        return transformed
+            for acfg in acfgs
+        ]
 
     def fit_transform(self, acfgs: Sequence[ACFG]) -> List[ACFG]:
         return self.fit(acfgs).transform(acfgs)

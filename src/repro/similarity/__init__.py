@@ -4,7 +4,7 @@ Real malware traffic is dominated by repacked and trivially mutated
 variants of a small number of families; the exact sha256-of-text
 prediction cache misses on exactly those repeats.  This package computes
 a fingerprint that survives such mutations — Weisfeiler-Lehman
-relabeling over the CFG's adjacency structure, seeded with quantized
+relabeling over the CFG's edge list, seeded with quantized
 per-vertex attribute buckets — and the machinery to look near-duplicates
 up fast:
 

@@ -207,7 +207,7 @@ def fingerprint_acfg(
             f"fingerprint iterations must be >= 0, got {iterations}"
         )
     n = acfg.num_vertices
-    adjacency = (np.asarray(acfg.adjacency) != 0).astype(np.uint64)
+    sources, targets = acfg.edges[:, 0], acfg.edges[:, 1]
 
     # Attributed-stream seeds: each vertex's bucket tuple, columns
     # distinguished by per-column tags (channel 3's bucket must not be
@@ -242,10 +242,13 @@ def fingerprint_acfg(
             # enters as the *sum* of its mixed labels: addition is
             # commutative, so vertex order cannot influence the result,
             # and two different multisets colliding on their sum is a
-            # ~2**-64 event.
+            # ~2**-64 event.  The sums are scatter-adds over the edge
+            # list; uint64 wrap-around keeps them exact in any order.
             mixed = _mix64(labels)
-            out_sum = mixed @ adjacency.T
-            in_sum = mixed @ adjacency
+            out_sum = np.zeros_like(mixed)
+            in_sum = np.zeros_like(mixed)
+            np.add.at(out_sum, (slice(None), sources), mixed[:, targets])
+            np.add.at(in_sum, (slice(None), targets), mixed[:, sources])
             labels = _mix64(
                 mixed * _ROLE_OWN + out_sum * _ROLE_OUT + in_sum * _ROLE_IN
             )

@@ -8,13 +8,14 @@ from repro.baselines.feature_vectors import (
     dataset_to_matrix,
     standardize,
 )
-from repro.features.acfg import ACFG
+
+from tests.conftest import dense_acfg
 
 
 def make_acfg(n=4, c=3, label=1, seed=0):
     rng = np.random.default_rng(seed)
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
-    return ACFG(
+    return dense_acfg(
         adjacency=adjacency,
         attributes=rng.integers(0, 9, (n, c)).astype(float),
         label=label,

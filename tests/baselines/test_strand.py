@@ -10,7 +10,7 @@ from repro.features.acfg import ACFG
 
 def make_acfg(attributes, label=0):
     n = attributes.shape[0]
-    return ACFG(adjacency=np.zeros((n, n)), attributes=attributes, label=label)
+    return ACFG(edges=[], attributes=attributes, label=label)
 
 
 class TestTokenization:

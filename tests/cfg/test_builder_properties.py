@@ -79,7 +79,7 @@ def test_propagation_operator_row_stochastic(seed):
 
     cfg = build(seed)
     acfg = ACFG.from_cfg(cfg)
-    propagation = acfg.propagation_operator()
+    propagation = acfg.propagation_operator().toarray()
     np.testing.assert_allclose(
         propagation.sum(axis=1), np.ones(acfg.num_vertices), atol=1e-12
     )

@@ -1,4 +1,4 @@
-"""Tests for the ControlFlowGraph data structure and its matrix views."""
+"""Tests for the ControlFlowGraph data structure and its vertex-indexed views."""
 
 import numpy as np
 import pytest
@@ -89,31 +89,20 @@ class TestGraphStructure:
 class TestMatrixViews:
     def test_adjacency_matches_edges(self):
         graph, _ = diamond()
-        adjacency = graph.adjacency_matrix()
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[0, 2] = expected[1, 3] = expected[2, 3] = 1
-        np.testing.assert_array_equal(adjacency, expected)
+        edges = graph.edge_index()
+        assert edges.dtype == np.int64
+        np.testing.assert_array_equal(edges, [[0, 1], [0, 2], [1, 3], [2, 3]])
 
     def test_adjacency_is_directed(self):
         graph, _ = diamond()
-        adjacency = graph.adjacency_matrix()
-        assert not np.array_equal(adjacency, adjacency.T)
+        forward = {tuple(edge) for edge in graph.edge_index().tolist()}
+        backward = {(dst, src) for src, dst in forward}
+        assert forward.isdisjoint(backward)
 
-    def test_augmented_adds_identity(self):
-        graph, _ = diamond()
-        augmented = graph.augmented_adjacency_matrix()
-        np.testing.assert_array_equal(
-            augmented, graph.adjacency_matrix() + np.eye(4)
-        )
-
-    def test_degree_matrix_row_sums(self):
-        graph, _ = diamond()
-        degree = graph.augmented_degree_matrix()
-        np.testing.assert_array_equal(
-            np.diag(degree), graph.augmented_adjacency_matrix().sum(axis=1)
-        )
-        # Off-diagonal must be zero.
-        assert np.count_nonzero(degree - np.diag(np.diag(degree))) == 0
+    def test_edge_index_of_edgeless_graph(self):
+        graph = ControlFlowGraph()
+        graph.add_block(block(0x10))
+        assert graph.edge_index().shape == (0, 2)
 
     def test_vertex_index_order(self):
         graph, blocks = diamond()

@@ -61,23 +61,29 @@ class TestJsonRoundTrip:
 
 class TestAcfgTextFormat:
     def test_roundtrip(self):
-        adjacency = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+        edges = np.array([[0, 1], [1, 2], [2, 0]])
         attributes = np.array([[1.5, 2.0], [0.0, -3.25], [4.0, 0.5]])
-        text = acfg_to_text(adjacency, attributes, label="Ramnit")
-        adj2, attr2, label = acfg_from_text(text)
-        np.testing.assert_array_equal(adj2, adjacency)
+        text = acfg_to_text(edges, attributes, label="Ramnit")
+        assert text == (
+            "3 2 Ramnit\n1.5 2.0\n0.0 -3.25\n4.0 0.5\n0 1\n1 2\n2 0\n"
+        )
+        edges2, attr2, label = acfg_from_text(text)
+        assert edges2.dtype == np.int64
+        np.testing.assert_array_equal(edges2, edges)
         np.testing.assert_array_equal(attr2, attributes)
         assert label == "Ramnit"
 
     def test_roundtrip_without_label(self):
-        adjacency = np.zeros((2, 2))
         attributes = np.ones((2, 3))
-        _, _, label = acfg_from_text(acfg_to_text(adjacency, attributes))
+        edges, _, label = acfg_from_text(acfg_to_text(np.empty((0, 2)), attributes))
         assert label is None
+        assert edges.shape == (0, 2)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SerializationError):
             acfg_to_text(np.zeros((2, 3)), np.ones((2, 2)))
+        with pytest.raises(SerializationError):
+            acfg_to_text(np.array([[0, 2]]), np.ones((2, 2)))
 
     def test_empty_record_rejected(self):
         with pytest.raises(SerializationError):
@@ -86,6 +92,22 @@ class TestAcfgTextFormat:
     def test_truncated_record_rejected(self):
         with pytest.raises(SerializationError):
             acfg_from_text("3 2\n1.0 2.0\n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "-1 11\n",
+            "1 -2\n1.0\n",
+            "1 1\nabc\n",
+            "2 1\n1.0\n2.0\na b\n",
+            "2 1\n1.0\n2.0\n0 1.5\n",
+        ],
+        ids=["negative-n", "negative-c", "non-numeric-attribute",
+             "non-integer-endpoint", "fractional-endpoint"],
+    )
+    def test_malformed_record_rejected(self, record):
+        with pytest.raises(SerializationError):
+            acfg_from_text(record)
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(SerializationError):
@@ -98,10 +120,10 @@ class TestAcfgTextFormat:
     )
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, n, c, seed):
-        """Property: any generated (A, X) pair survives the text format."""
+        """Property: any generated (edges, X) pair survives the text format."""
         rng = np.random.default_rng(seed)
-        adjacency = (rng.random((n, n)) < 0.4).astype(float)
+        edges = np.argwhere(rng.random((n, n)) < 0.4)
         attributes = np.round(rng.standard_normal((n, c)), 6)
-        adj2, attr2, _ = acfg_from_text(acfg_to_text(adjacency, attributes))
-        np.testing.assert_array_equal(adj2, adjacency)
+        edges2, attr2, _ = acfg_from_text(acfg_to_text(edges, attributes))
+        np.testing.assert_array_equal(edges2, edges.reshape(-1, 2))
         np.testing.assert_allclose(attr2, attributes)

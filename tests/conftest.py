@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_mskcfg_dataset, generate_yancfg_dataset
+from repro.features.acfg import ACFG
 
 #: A hand-written listing with fully known CFG structure:
 #:
@@ -40,6 +41,19 @@ SAMPLE_EDGES = {
     (0x40100E, 0x401012),
     (0x401012, 0x401015),
 }
+
+
+def dense_acfg(adjacency, attributes, label=None, name="") -> ACFG:
+    """An ACFG whose edges are the non-zeros of a dense 0/1 matrix.
+
+    Tests write small graphs as matrices; the program only takes edges.
+    """
+    return ACFG(
+        edges=np.argwhere(np.asarray(adjacency) != 0),
+        attributes=attributes,
+        label=label,
+        name=name,
+    )
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ from repro.exceptions import ConfigurationError
 from repro.features.acfg import ACFG
 from repro.nn.tensor import Tensor
 
+from tests.conftest import dense_acfg
+
 
 def sample_graph_acfg():
     """A 5-vertex directed graph with 2 attribute channels, in the style
@@ -19,7 +21,7 @@ def sample_graph_acfg():
     attributes = np.array(
         [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0], [2.0, 2.0], [-1.0, 0.5]]
     )
-    return ACFG(adjacency=adjacency, attributes=attributes, name="g")
+    return dense_acfg(adjacency=adjacency, attributes=attributes, name="g")
 
 
 class TestEquationOne:
@@ -27,9 +29,10 @@ class TestEquationOne:
         """Z1 = f(D̂^-1 Â X W) computed with raw numpy must agree."""
         acfg = sample_graph_acfg()
         layer = GraphConvolution(2, 3, activation="relu", rng=np.random.default_rng(0))
-        out = layer(acfg.propagation_operator(), Tensor(acfg.attributes))
+        out = layer(acfg.propagation_operator().toarray(), Tensor(acfg.attributes))
 
-        augmented = acfg.adjacency + np.eye(5)
+        augmented = np.eye(5)
+        augmented[acfg.edges[:, 0], acfg.edges[:, 1]] += 1.0
         degree_inverse = np.diag(1.0 / augmented.sum(axis=1))
         expected = degree_inverse @ augmented @ acfg.attributes @ layer.weight.data
         expected = np.maximum(expected, 0.0)
@@ -41,22 +44,22 @@ class TestEquationOne:
         acfg = sample_graph_acfg()
         layer = GraphConvolution(2, 3, activation="relu")
         layer.weight.data = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        out = layer(acfg.propagation_operator(), Tensor(acfg.attributes)).data
+        out = layer(acfg.propagation_operator().toarray(), Tensor(acfg.attributes)).data
         # Columns 0 and 2 must be identical (both propagate channel F1).
         np.testing.assert_allclose(out[:, 0], out[:, 2])
 
     def test_isolated_vertex_keeps_own_attributes(self):
         # With no edges, propagation is the identity: Z1 = f(X W).
-        acfg = ACFG(adjacency=np.zeros((3, 3)), attributes=np.eye(3))
+        acfg = ACFG(edges=[], attributes=np.eye(3))
         layer = GraphConvolution(3, 3, activation="relu")
         layer.weight.data = np.eye(3)
-        out = layer(acfg.propagation_operator(), Tensor(acfg.attributes))
+        out = layer(acfg.propagation_operator().toarray(), Tensor(acfg.attributes))
         np.testing.assert_allclose(out.data, np.eye(3))
 
     def test_tanh_activation(self):
         acfg = sample_graph_acfg()
         layer = GraphConvolution(2, 2, activation="tanh")
-        out = layer(acfg.propagation_operator(), Tensor(acfg.attributes))
+        out = layer(acfg.propagation_operator().toarray(), Tensor(acfg.attributes))
         assert (np.abs(out.data) <= 1.0).all()
 
     def test_invalid_activation(self):
@@ -108,8 +111,8 @@ class TestStack:
         adjacency = np.zeros((3, 3))
         adjacency[0, 1] = adjacency[1, 2] = 1.0
         attributes = np.array([[1.0], [0.0], [0.0]])
-        acfg = ACFG(adjacency=adjacency, attributes=attributes)
-        propagation = acfg.propagation_operator()
+        acfg = dense_acfg(adjacency=adjacency, attributes=attributes)
+        propagation = acfg.propagation_operator().toarray()
 
         layer = GraphConvolution(1, 1, activation="relu")
         layer.weight.data = np.array([[1.0]])

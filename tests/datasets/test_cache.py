@@ -31,7 +31,7 @@ class TestCacheRoundTrip:
         for original, reloaded in zip(tiny_mskcfg.acfgs, restored.acfgs):
             assert reloaded.label == original.label
             assert reloaded.name == original.name
-            np.testing.assert_array_equal(reloaded.adjacency, original.adjacency)
+            np.testing.assert_array_equal(reloaded.edges, original.edges)
             np.testing.assert_allclose(reloaded.attributes, original.attributes)
 
     def test_loaded_dataset_trains(self, tiny_mskcfg, tmp_path):
@@ -120,7 +120,7 @@ class TestIntegrityVerification:
         with pytest.raises(DatasetError, match="000001.acfg"):
             load_dataset(directory)
 
-    def test_legacy_manifest_loads_with_warning(self, tiny_mskcfg, tmp_path):
+    def test_legacy_manifest_rejected(self, tiny_mskcfg, tmp_path):
         directory = str(tmp_path / "corpus")
         save_dataset(subset(tiny_mskcfg, 3), directory)
         manifest_path = os.path.join(directory, "manifest.json")
@@ -130,9 +130,21 @@ class TestIntegrityVerification:
             del record["sha256"]
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
-        with pytest.warns(UserWarning, match="legacy"):
-            restored = load_dataset(directory)
-        assert len(restored) == 3
+        with pytest.raises(DatasetError, match="re-save") as caught:
+            load_dataset(directory)
+        assert manifest_path in str(caught.value)
+
+    def test_record_without_checksum_rejected(self, tiny_mskcfg, tmp_path):
+        directory = str(tmp_path / "corpus")
+        save_dataset(subset(tiny_mskcfg, 3), directory)
+        manifest_path = os.path.join(directory, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        del manifest["samples"][1]["sha256"]
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(DatasetError, match="re-save") as caught:
+            load_dataset(directory)
+        assert "000001.acfg" in str(caught.value)
 
     def test_unknown_format_version_rejected(self, tiny_mskcfg, tmp_path):
         directory = str(tmp_path / "corpus")

@@ -11,7 +11,7 @@ from repro.features.acfg import ACFG
 def make_dataset(labels, num_classes=3):
     acfgs = [
         ACFG(
-            adjacency=np.zeros((2, 2)),
+            edges=[],
             attributes=np.full((2, 2), float(i)),
             label=label,
             name=f"s{i}",
@@ -25,7 +25,7 @@ def make_dataset(labels, num_classes=3):
 
 class TestValidation:
     def test_unlabelled_sample_rejected(self):
-        acfg = ACFG(adjacency=np.zeros((1, 1)), attributes=np.zeros((1, 1)))
+        acfg = ACFG(edges=[], attributes=np.zeros((1, 1)))
         with pytest.raises(DatasetError):
             MalwareDataset(acfgs=[acfg], family_names=["a", "b"])
 

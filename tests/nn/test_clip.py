@@ -9,6 +9,8 @@ from repro.exceptions import ConfigurationError
 from repro.nn.clip import clip_grad_norm
 from repro.nn.layers import Parameter
 
+from tests.conftest import dense_acfg
+
 
 def param_with_grad(grad):
     p = Parameter(np.zeros_like(np.asarray(grad, dtype=float)))
@@ -57,7 +59,7 @@ class TestTrainerIntegration:
         acfgs = []
         for i in range(8):
             n = 5
-            acfgs.append(ACFG(
+            acfgs.append(dense_acfg(
                 adjacency=(rng.random((n, n)) < 0.3).astype(float),
                 attributes=rng.standard_normal((n, 11)),
                 label=i % 2,

@@ -12,12 +12,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SimilarityError
 from repro.features.acfg import ACFG
-from repro.similarity import (
-    CfgFingerprint,
-    fingerprint_acfg,
-    quantize_attributes,
-)
+from repro.similarity import fingerprint_acfg, quantize_attributes
 
+from tests.conftest import dense_acfg
 from tests.similarity.conftest import extract_acfg
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -32,13 +29,13 @@ def _random_acfg(seed, num_vertices=12):
     attributes = rng.integers(
         0, 200, size=(num_vertices, 11)
     ).astype(np.float64)
-    return ACFG(adjacency=adjacency, attributes=attributes, label=0,
-                name=f"random-{seed}")
+    return dense_acfg(adjacency=adjacency, attributes=attributes, label=0,
+                      name=f"random-{seed}")
 
 
 def _permuted(acfg, permutation):
     return ACFG(
-        adjacency=acfg.adjacency[np.ix_(permutation, permutation)],
+        edges=np.argsort(permutation)[acfg.edges],
         attributes=acfg.attributes[permutation],
         label=acfg.label,
         name=acfg.name,
@@ -102,6 +99,23 @@ class TestDeterminism:
         )
         ours = fingerprint_acfg(extract_acfg("Lollipop", 1)).digest()
         assert child.stdout.strip() == ours
+
+    def test_digest_pinned_to_dense_reference(self):
+        """Digests recorded from the dense ``labels @ A`` neighbour sums.
+
+        The edge-list scatter-add must reproduce them exactly (uint64
+        sums wrap the same in any order); the random graph has seven
+        self-loops.  A changed digest invalidates every stored index.
+        """
+        assert fingerprint_acfg(extract_acfg("Lollipop", 1)).digest() == (
+            "640f84b86728ebad316eaeedf73503164efd670427a5c9d5772dbbbc647de0eb"
+        )
+        rng = np.random.default_rng(5)
+        adjacency = rng.random((40, 40)) < 0.2
+        attributes = rng.integers(0, 300, size=(40, 11)).astype(np.float64)
+        assert fingerprint_acfg(dense_acfg(adjacency, attributes)).digest() == (
+            "e5b10dadcf449bc225c96870ab679d350526cdf664fd26438f0a3e1663f2f4db"
+        )
 
 
 class TestQuantization:

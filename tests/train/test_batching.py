@@ -7,11 +7,13 @@ from repro.exceptions import TrainingError
 from repro.features.acfg import ACFG
 from repro.train.batching import BatchCollator, collate_graphs, iterate_minibatches
 
+from tests.conftest import dense_acfg
+
 
 def make_acfgs(n):
     return [
         ACFG(
-            adjacency=np.zeros((1, 1)),
+            edges=[],
             attributes=np.array([[float(i)]]),
             label=0,
             name=f"s{i}",
@@ -141,8 +143,8 @@ class TestTrainerValidationMemoization:
             np.fill_diagonal(adjacency, 0.0)
             attributes = rng.standard_normal((n, 11)) + 2.0 * label
             acfgs.append(
-                ACFG(adjacency=adjacency, attributes=attributes,
-                     label=label, name=f"m{label}_{i}")
+                dense_acfg(adjacency=adjacency, attributes=attributes,
+                           label=label, name=f"m{label}_{i}")
             )
         return acfgs
 
