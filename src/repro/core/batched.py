@@ -7,7 +7,10 @@ stack the attribute matrices, assemble the per-graph CSR propagation
 operators into a block-diagonal sparse matrix, and run each layer once
 over the whole batch.  Results are *exactly* equal to the per-graph
 reference path (verified by ``tests/core/test_batched.py``); only the
-constant factors change.
+constant factors change.  The batch's row :attr:`GraphBatch.boundaries`
+let the adaptive-pooling head pool every graph in the same single pass
+(:mod:`repro.core.adaptive_pooling`); only the SortPooling variants
+still pool graph by graph.
 
 This is the same trick the reference DGCNN implementation (and every
 modern GNN library) uses for mini-batching.  A :class:`GraphBatch` is
@@ -18,7 +21,7 @@ flows through ``Trainer``/cross-validation/CLI.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -74,7 +77,8 @@ class GraphBatch:
         Dense ``(N, c)`` stacked attribute matrix.
     boundaries:
         Length ``B+1`` prefix offsets: graph ``i`` owns rows
-        ``boundaries[i]:boundaries[i+1]``.
+        ``boundaries[i]:boundaries[i+1]``; the models' pooling heads
+        take them to pool each graph's rows of ``Z^{1:h}``.
     normalized:
         Whether the operator is Equation 1's ``D̂^-1 Â`` (``True``) or the
         raw ``Â`` (``False``); models check this against their own
@@ -121,7 +125,7 @@ class GraphBatch:
         (:mod:`repro.adv.attack`) is built on.
 
         Per-graph gradient rows are recovered with :attr:`boundaries`,
-        exactly like :meth:`split` slices forward activations.
+        the same offsets the pooling heads use to slice activations.
         """
         if self.attributes_tensor is None:
             self.attributes_tensor = Tensor(self.attributes, requires_grad=True)
@@ -140,15 +144,6 @@ class GraphBatch:
         if self._propagation_t is None:
             self._propagation_t = self.propagation.T.tocsr()
         return self._propagation_t
-
-    def split(self, stacked: Tensor) -> List[Tensor]:
-        """Slice a ``(N, C)`` batch-level tensor back into per-graph rows."""
-        pieces = []
-        for index in range(self.num_graphs):
-            start = int(self.boundaries[index])
-            end = int(self.boundaries[index + 1])
-            pieces.append(stacked[start:end])
-        return pieces
 
 
 def propagate(batch: GraphBatch, z: Tensor) -> Tensor:

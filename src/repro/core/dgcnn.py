@@ -21,9 +21,11 @@ All variants share one forward contract: they consume a
 output is always the prediction of the observed input" (Section IV-B).
 
 Graph convolutions always run over the block-diagonal sparse merge of
-the batch (one sparse matmul per layer).  The dense per-graph loop
-survives only as :meth:`DgcnnBase.forward_reference`, the reference
-implementation that the equivalence tests compare against.
+the batch (one sparse matmul per layer), and the adaptive-pooling head
+pools the whole batch's ``Z^{1:h}`` in one pass; the SortPooling variants
+pool graph by graph.  The per-graph loop over ACFGs survives only as
+:meth:`DgcnnBase.forward_reference`, the reference implementation that
+the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -174,15 +176,30 @@ class DgcnnBase(Module):
             raise ConfigurationError("forward() on an empty batch")
         return self.collate(batch)
 
-    # -- per-graph fixed-size representation (architecture-specific) ----
+    # -- fixed-size representation (architecture-specific) ---------------
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
+    def embed_from_zconcat(
+        self, z_concat: Tensor, boundaries: Sequence[int]
+    ) -> Tensor:
+        """Pool each graph's rows of ``Z^{1:h}`` to flat embeddings ``(B, D)``.
+
+        Graph ``i`` owns rows ``boundaries[i]:boundaries[i+1]``.  The
+        default pools graph by graph through :meth:`embed_single`.
+        """
+        embeddings = [
+            self.embed_single(z_concat[int(start):int(end)])
+            for start, end in zip(boundaries[:-1], boundaries[1:])
+        ]
+        return stack(embeddings, axis=0)
+
+    def embed_single(self, z_concat: Tensor) -> Tensor:
         """Pool one graph's ``Z^{1:h}`` to its flat fixed-size embedding."""
         raise NotImplementedError
 
     def embed_graph(self, acfg: ACFG) -> Tensor:
         """Fixed-size representation of one graph (flattened to 1-D)."""
-        return self.embed_from_zconcat(self.graph_convs(acfg))
+        z_concat = self.graph_convs(acfg)
+        return self.embed_from_zconcat(z_concat, (0, z_concat.shape[0]))[0]
 
     def forward(self, batch: ModelInput) -> Tensor:
         """Log-probabilities for a batch of graphs: ``(B, num_classes)``.
@@ -195,11 +212,7 @@ class DgcnnBase(Module):
         """
         graph_batch = self._coerce(batch)
         z_all = self.graph_convs.forward_batch(graph_batch)
-        embeddings = [
-            self.embed_from_zconcat(z_slice)
-            for z_slice in graph_batch.split(z_all)
-        ]
-        return self.classify(stack(embeddings, axis=0))
+        return self.classify(self.embed_from_zconcat(z_all, graph_batch.boundaries))
 
     def forward_reference(self, batch: Sequence[ACFG]) -> Tensor:
         """Per-graph dense reference path (equivalence testing only).
@@ -288,7 +301,7 @@ class DgcnnSortPoolingConv1d(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
+    def embed_single(self, z_concat: Tensor) -> Tensor:
         z_sp = self.sort_pool(z_concat)          # (k, C)
         k, c = z_sp.shape
         signal = z_sp.reshape(1, 1, k * c)
@@ -318,7 +331,7 @@ class DgcnnSortPoolingWeightedVertices(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
+    def embed_single(self, z_concat: Tensor) -> Tensor:
         z_sp = self.sort_pool(z_concat)          # (k, C)
         return self.weighted(z_sp)               # (C,)
 
@@ -329,9 +342,10 @@ class DgcnnSortPoolingWeightedVertices(DgcnnBase):
 class DgcnnAdaptivePooling(DgcnnBase):
     """Conv2D + AMP + VGG-inspired Conv2D head (Section III-C).
 
-    After the per-graph adaptive pooling produces a fixed
-    ``(channels, H, W)`` volume, two 3x3 Conv2D layers (channel-doubling,
-    in the VGG spirit) refine it before the dense classifier.
+    After the batched adaptive pooling produces a fixed
+    ``(channels, H, W)`` volume per graph, two 3x3 Conv2D layers
+    (channel-doubling, in the VGG spirit) refine it before the dense
+    classifier.
     """
 
     def __init__(self, config: ModelConfig) -> None:
@@ -352,8 +366,12 @@ class DgcnnAdaptivePooling(DgcnnBase):
             self._rng,
         )
 
-    def embed_from_zconcat(self, z_concat: Tensor) -> Tensor:
-        return self.amp_head(z_concat).reshape(-1)
+    def embed_from_zconcat(
+        self, z_concat: Tensor, boundaries: Sequence[int]
+    ) -> Tensor:
+        """One batched Conv2D + AMP pass over every graph: ``(B, D)``."""
+        pooled = self.amp_head(z_concat, boundaries)
+        return pooled.reshape(pooled.shape[0], -1)
 
     def classify(self, embeddings: Tensor) -> Tensor:
         channels = self.amp_head.channels

@@ -146,7 +146,7 @@ class GraphConvolutionStack(Module):
 
         One sparse matmul per layer over the block-diagonal operator
         replaces ``B`` dense matmuls per layer; rows stay grouped by
-        graph, so ``batch.split`` recovers the per-graph ``Z^{1:h}``.
+        graph, so ``batch.boundaries`` delimit each graph's ``Z^{1:h}``.
         """
         if batch.normalized != self.normalize_propagation:
             raise ConfigurationError(

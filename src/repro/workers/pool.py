@@ -23,6 +23,7 @@ long-lived request mode in :mod:`repro.workers.request`.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from collections import deque
 from multiprocessing import connection as mp_connection
@@ -52,6 +53,9 @@ _TICK_SECONDS = 0.05
 
 #: Grace period for joining a worker that closed its pipe or was killed.
 _JOIN_SECONDS = 5.0
+
+#: Seconds an idle worker waits on its pipe between parent-liveness checks.
+_PARENT_CHECK_SECONDS = 0.5
 
 
 def pool_context() -> BaseContext:
@@ -86,20 +90,37 @@ def terminate_process(
             pass
 
 
-def _worker_main(conn: "PipeConn", worker_name: str, worker_ctx: Any) -> None:
+def recv_unless_orphaned(conn: "PipeConn", parent_pid: int) -> Any:
+    """The next message on a worker's pipe, or ``None`` once the parent is gone.
+
+    Under ``fork`` every worker inherits the parent's end of its own pipe
+    and of its siblings' pipes, so a SIGKILLed parent never shows up as
+    EOF.  The worker instead polls with a timeout and treats a changed
+    ``os.getppid()`` like the ``None`` stop message.
+    """
+    while not conn.poll(_PARENT_CHECK_SECONDS):
+        if os.getppid() != parent_pid:
+            return None
+    return conn.recv()
+
+
+def _worker_main(
+    conn: "PipeConn", worker_name: str, worker_ctx: Any, parent_pid: int
+) -> None:
     """Worker process body: recv unit, execute, send outcome, repeat.
 
     Outcomes are produced by :func:`repro.features.pipeline.execute_unit`,
     which never raises — every exception is already classified into the
     failure taxonomy inside the worker, so the only unreported deaths are
-    real crashes (which the parent detects via the closed pipe).
+    real crashes (which the parent detects via the closed pipe).  The
+    worker exits when its parent dies (:func:`recv_unless_orphaned`).
     """
     from repro.features import pipeline  # deferred: parent imports us
 
     worker_fn = pipeline.resolve_worker(worker_name).fn  # repro: allow[fault-contract] — a misconfigured worker name is fatal; the parent reports the closed pipe as a crash
     while True:
         try:
-            message = conn.recv()  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
+            message = recv_unless_orphaned(conn, parent_pid)  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
         except (EOFError, OSError, KeyboardInterrupt):
             break
         if message is None:
@@ -174,7 +195,7 @@ class ProcessWorkerPool:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, self.worker_name, self.worker_ctx),
+            args=(child_conn, self.worker_name, self.worker_ctx, os.getpid()),
             daemon=True,
         )
         process.start()

@@ -27,12 +27,18 @@ workers behave identically under fork and spawn start methods.
 from __future__ import annotations
 
 import importlib
+import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import WorkerError, WorkerStartupError
-from repro.workers.pool import _TICK_SECONDS, pool_context, terminate_process
+from repro.workers.pool import (
+    _TICK_SECONDS,
+    pool_context,
+    recv_unless_orphaned,
+    terminate_process,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
@@ -89,9 +95,13 @@ class WorkerReply:
 
 
 def _request_worker_main(
-    conn: "PipeConn", entrypoint: str, init_kwargs: Dict[str, Any]
+    conn: "PipeConn", entrypoint: str, init_kwargs: Dict[str, Any], parent_pid: int
 ) -> None:
-    """Child process body: init once, announce, then serve requests."""
+    """Child process body: init once, announce, then serve requests.
+
+    The loop ends on the ``None`` stop message, on EOF, or when the
+    parent dies (:func:`~repro.workers.pool.recv_unless_orphaned`).
+    """
     try:
         handler = resolve_entrypoint(entrypoint)(**init_kwargs)
     except BaseException as exc:  # repro: allow[broad-except] — init failure must reach the parent
@@ -106,7 +116,7 @@ def _request_worker_main(
         return
     while True:
         try:
-            message = conn.recv()  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
+            message = recv_unless_orphaned(conn, parent_pid)  # repro: allow[fault-contract] — non-EOF recv failure means a torn protocol; dying lets the parent classify the crash
         except (EOFError, OSError, KeyboardInterrupt):
             break
         if message is None:
@@ -187,7 +197,7 @@ class RequestWorker:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=_request_worker_main,
-            args=(child_conn, self.entrypoint, self.init_kwargs),
+            args=(child_conn, self.entrypoint, self.init_kwargs, os.getpid()),
             daemon=True,
         )
         process.start()

@@ -96,14 +96,6 @@ class TestGraphBatch:
         with pytest.raises(ConfigurationError):
             GraphBatch([])
 
-    def test_split_roundtrip(self, rng):
-        acfgs = [random_acfg(rng, n) for n in (2, 4)]
-        batch = GraphBatch(acfgs)
-        stacked = Tensor(batch.attributes)
-        pieces = batch.split(stacked)
-        np.testing.assert_array_equal(pieces[0].data, acfgs[0].attributes)
-        np.testing.assert_array_equal(pieces[1].data, acfgs[1].attributes)
-
     def test_unnormalized_mode(self, rng):
         acfgs = [random_acfg(rng, 3)]
         batch = GraphBatch(acfgs, normalize_propagation=False)

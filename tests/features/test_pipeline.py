@@ -392,6 +392,30 @@ class TestAcceptanceScenario:
         assert report.num_succeeded >= 50
 
 
+def _proc_stat(pid):
+    """The ``/proc/<pid>/stat`` fields after the command name, or ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _children(parent_pid):
+    """``{pid: start time}`` of the live processes whose parent is given."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        fields = _proc_stat(entry) if entry.isdigit() else None
+        if fields and fields[0] != "Z" and int(fields[1]) == parent_pid:
+            children[int(entry)] = fields[19]
+    return children
+
+
+def _still_running(pid, start_time):
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z" and fields[19] == start_time
+
+
 class TestKillAndResumeExtraction:
     """End-to-end: SIGKILL a journaled extraction run, resume, compare."""
 
@@ -424,12 +448,23 @@ class TestKillAndResumeExtraction:
                     if len(finished) >= 5:
                         break
                 time.sleep(0.02)
+            workers = _children(process.pid)
             if process.poll() is None:
                 process.send_signal(signal.SIGKILL)
             process.wait(timeout=60)
         finally:
             if process.poll() is None:
                 process.kill()
+
+        # The killed parent's workers notice the dead parent and exit.
+        assert workers, "no extraction workers were running at the kill"
+        deadline = time.time() + 5
+        while time.time() < deadline and any(
+            _still_running(pid, start) for pid, start in workers.items()
+        ):
+            time.sleep(0.05)
+        orphans = [pid for pid, start in workers.items() if _still_running(pid, start)]
+        assert not orphans, f"workers {orphans} outlived their killed parent"
 
         # Resume in-process and compare against the uninterrupted run.
         resumed = extraction_scenario.build_pipeline(

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive_pooling import AdaptivePoolingHead
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, concatenate, gather_rows, pad_rows, stack
 
@@ -183,6 +184,42 @@ class TestFunctionalGradients:
         # Gradient equals the applied mask (0 or 1/(1-p)).
         np.testing.assert_allclose(
             np.unique(x.grad), np.array([0.0, 2.0])
+        )
+
+
+class TestBatchedAdaptivePoolingHeadGradients:
+    """The batched head's sparse backward, against central differences.
+
+    The batch mixes a one-row, a two-row and a longer graph so the
+    overlapping row windows and the zero separator rows are exercised.
+    """
+
+    BOUNDARIES = [0, 1, 3, 9]
+
+    def head_with(self, **tensors):
+        head = AdaptivePoolingHead(3, output_grid=(3, 3), rng=np.random.default_rng(3))
+        head.conv.bias.data = np.random.default_rng(4).standard_normal(3)
+        # Swap a parameter for the tensor under test (plain attribute set).
+        for name, tensor in tensors.items():
+            object.__setattr__(head.conv, name, tensor)
+        return head
+
+    def test_input_grad(self):
+        head = self.head_with()
+        check(lambda z: head(z, self.BOUNDARIES), RNG.standard_normal((9, 5)) * 3)
+
+    def test_weight_grad(self):
+        z = Tensor(RNG.standard_normal((9, 5)) * 3)
+        check(
+            lambda w: self.head_with(weight=w)(z, self.BOUNDARIES),
+            RNG.standard_normal((3, 1, 3, 3)),
+        )
+
+    def test_bias_grad(self):
+        z = Tensor(RNG.standard_normal((9, 5)) * 3)
+        check(
+            lambda b: self.head_with(bias=b)(z, self.BOUNDARIES),
+            RNG.standard_normal((3,)),
         )
 
 
