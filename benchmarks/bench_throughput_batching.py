@@ -5,9 +5,8 @@ production forward pass runs the graph convolutions once over a
 block-diagonal CSR merge of the minibatch (``GraphBatch``); the dense
 per-graph loop survives only as ``DgcnnBase.forward_reference`` for
 equivalence testing.  This bench keeps the speedup claim measured: it
-records the actual ratio on the benchmark corpus, including the effect
-of collate memoization (the trainer revisits fixed validation chunks
-every epoch).
+records the actual ratio on the benchmark corpus, collation included,
+as every forward the trainer runs builds its ``GraphBatch`` afresh.
 
 A second case times the adaptive-pooling head (Section III-C): the
 batched head, one im2col contraction and a segmented max over the whole
@@ -33,7 +32,6 @@ from repro.core.dgcnn import ModelConfig, build_model
 from repro.features.scaling import AttributeScaler
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, stack
-from repro.train.batching import BatchCollator
 
 from benchmarks.bench_common import save_result
 
@@ -84,7 +82,6 @@ def test_throughput_per_graph_vs_batched(benchmark, mskcfg_bench):
 
     model = _model()
     model.eval()
-    collator = BatchCollator()
 
     # Equivalence before timing: default path == per-graph reference.
     np.testing.assert_allclose(
@@ -97,40 +94,29 @@ def test_throughput_per_graph_vs_batched(benchmark, mskcfg_bench):
     best = _interleaved_best({
         "per_graph": lambda: model.forward_reference(acfgs),
         "batched_cold": lambda: model(model.collate(acfgs)),
-        "batched_warm": lambda: model(collator(acfgs)),
     }, rounds=7)
 
     per_graph_seconds = best["per_graph"]
     batched_cold_seconds = best["batched_cold"]
-    batched_warm_seconds = best["batched_warm"]
 
     ratio = batched_cold_seconds / per_graph_seconds
     print("\nPropagation throughput (48-graph batch, 4 conv layers):")
     print(f"  per-graph dense reference : {per_graph_seconds * 1000:7.1f} ms")
     print(f"  batched sparse (cold)     : {batched_cold_seconds * 1000:7.1f} ms")
-    print(f"  batched sparse (memoized) : {batched_warm_seconds * 1000:7.1f} ms")
     print(f"  ratio (batched/per-graph) : {ratio:.2f}x")
 
     # The batch-first default must never regress behind the old
-    # per-graph default (small tolerance absorbs timer noise); the
-    # memoized path is what Trainer actually runs, so it gets the
-    # tighter bound.
+    # per-graph default (small tolerance absorbs timer noise).
     assert batched_cold_seconds <= per_graph_seconds * 1.10, (
         f"batched path regressed: {batched_cold_seconds * 1000:.1f} ms vs "
         f"per-graph {per_graph_seconds * 1000:.1f} ms"
     )
-    assert batched_warm_seconds <= per_graph_seconds * 1.05, (
-        f"memoized batched path regressed: "
-        f"{batched_warm_seconds * 1000:.1f} ms vs "
-        f"per-graph {per_graph_seconds * 1000:.1f} ms"
-    )
 
-    benchmark(lambda: model(collator(acfgs[:16])))
+    benchmark(lambda: model(acfgs[:16]))
 
     save_result("throughput_batching", {
         "per_graph_ms": per_graph_seconds * 1000,
         "batched_ms": batched_cold_seconds * 1000,
-        "batched_memoized_ms": batched_warm_seconds * 1000,
         "ratio": ratio,
         "batch_size": len(acfgs),
     })

@@ -216,15 +216,11 @@ def render_ablations() -> str:
                        f"{row['accuracy']:.3f} | {row['macro_f1']:.3f} |\n")
     throughput = load("throughput_batching")
     if throughput:
-        memoized = throughput.get("batched_memoized_ms")
-        memoized_note = (
-            f", {memoized:.1f} ms with memoized collate" if memoized else ""
-        )
         out.append(f"\n**Propagation batching**: per-graph dense reference "
                    f"{throughput['per_graph_ms']:.1f} ms vs block-diagonal "
                    f"sparse {throughput['batched_ms']:.1f} ms per "
                    f"{throughput['batch_size']}-graph batch "
-                   f"(ratio {throughput['ratio']:.2f}x{memoized_note}) — "
+                   f"(ratio {throughput['ratio']:.2f}x) — "
                    f"the batched path is the production default; the "
                    f"per-graph loop survives only as the equivalence-test "
                    f"reference.\n")

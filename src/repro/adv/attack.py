@@ -37,13 +37,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batched import GraphBatch
+from repro.core.dgcnn import DgcnnBase
 from repro.exceptions import ConfigurationError
 from repro.features.acfg import ACFG
 from repro.features.attributes import attribute_names
 from repro.features.scaling import AttributeScaler
 from repro.features.validator import CATEGORY_CHANNELS, project_attributes
-from repro.nn.layers import Module
 from repro.nn.loss import nll_loss
 
 #: Channels the attack may move.  ``offspring`` is structural (pinned to
@@ -148,7 +147,7 @@ def _mutable_mask(num_channels: int) -> np.ndarray:
 
 
 def input_gradients(
-    model: Module,
+    model: DgcnnBase,
     acfgs: Sequence[ACFG],
     labels: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -160,10 +159,7 @@ def input_gradients(
     parameters also accumulate gradients as a side effect; callers on a
     training path must ``zero_grad`` before their real optimizer step.
     """
-    batch = GraphBatch(
-        acfgs,
-        normalize_propagation=getattr(model, "normalize_propagation", True),
-    )
+    batch = model.collate(acfgs)
     leaf = batch.require_input_grad()
     was_training = model.training
     model.train(False)
@@ -196,8 +192,8 @@ class FeatureSpaceAttack:
     Parameters
     ----------
     model:
-        A trained DGCNN (or any GraphBatch-capable module) emitting
-        log-probabilities.
+        A trained DGCNN emitting log-probabilities; it collates every
+        batch the attack feeds it.
     scaler:
         The *training-time* :class:`AttributeScaler`; attack steps move
         in its scaled space and the semantic projection round-trips
@@ -208,7 +204,7 @@ class FeatureSpaceAttack:
 
     def __init__(
         self,
-        model: Module,
+        model: DgcnnBase,
         scaler: AttributeScaler,
         config: Optional[AttackConfig] = None,
     ) -> None:
@@ -259,14 +255,7 @@ class FeatureSpaceAttack:
             current.append(x)
         current = self._project_all(current, scaled, origin, mask, raw_bounds)
 
-        clean_probs = self.model.predict_proba(
-            GraphBatch(
-                scaled,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        clean_probs = self.model.predict_proba(scaled)
         flipped_at: List[Optional[np.ndarray]] = [None] * len(acfgs)
         step_size = config.resolved_step_size
         for _ in range(config.steps):
@@ -296,14 +285,7 @@ class FeatureSpaceAttack:
         final_eval = [
             dataclasses.replace(graph, attributes=x) for graph, x in zip(scaled, current)
         ]
-        final_probs = self.model.predict_proba(
-            GraphBatch(
-                final_eval,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        final_probs = self.model.predict_proba(final_eval)
         self._note_flips(final_probs, labels, current, flipped_at)
         chosen = [
             kept if kept is not None else x
@@ -323,14 +305,7 @@ class FeatureSpaceAttack:
             for acfg, x, bounds in zip(acfgs, chosen, raw_bounds)
         ]
         adv_scaled = self.scaler.transform(adversarial_acfgs)
-        adv_probs = self.model.predict_proba(
-            GraphBatch(
-                adv_scaled,
-                normalize_propagation=getattr(
-                    self.model, "normalize_propagation", True
-                ),
-            )
-        )
+        adv_probs = self.model.predict_proba(adv_scaled)
 
         clean_margins = _margins(clean_probs, labels)
         adv_margins = _margins(adv_probs, labels)
@@ -399,7 +374,7 @@ class FeatureSpaceAttack:
 
 
 def perturb_batch_scaled(
-    model: Module,
+    model: DgcnnBase,
     acfgs: Sequence[ACFG],
     labels: np.ndarray,
     *,

@@ -95,7 +95,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     pipeline = AcfgPipeline(
         max_workers=args.n_jobs,
-        use_processes=args.n_jobs > 1 or args.timeout is not None,
         timeout=args.timeout,
         max_vertices=args.max_vertices,
         journal_path=args.journal,

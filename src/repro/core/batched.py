@@ -14,9 +14,9 @@ still pool graph by graph.
 
 This is the same trick the reference DGCNN implementation (and every
 modern GNN library) uses for mini-batching.  A :class:`GraphBatch` is
-what the DGCNN variants consume (`repro.core.dgcnn`), what the training
-collate layer produces and memoizes (`repro.train.batching`), and what
-flows through ``Trainer``/cross-validation/CLI.
+what the DGCNN variants consume (`repro.core.dgcnn`): each model
+collates the plain ACFG lists that ``Trainer``, cross-validation, the
+serving engine and the CLI hand it, one fresh batch per forward.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ class GraphBatch:
     def propagation_transpose(self) -> scipy.sparse.csr_matrix:
         """Cached CSR transpose of the operator, for the backward pass.
 
-        Computed once per batch and reused by every layer (and, via the
-        collate memoization, every epoch that revisits this batch).
+        Computed once per batch and reused by every layer's backward.
         """
         if self._propagation_t is None:
             self._propagation_t = self.propagation.T.tocsr()

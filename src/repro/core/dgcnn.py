@@ -136,10 +136,6 @@ class DgcnnBase(Module):
     loop alive purely as the ground truth for equivalence tests.
     """
 
-    #: Collate layers (e.g. ``Trainer``) check this to know they may hand
-    #: the model a pre-built ``GraphBatch`` instead of a list of ACFGs.
-    accepts_graph_batch = True
-
     def __init__(self, config: ModelConfig) -> None:
         super().__init__()
         self.config = config
@@ -151,11 +147,6 @@ class DgcnnBase(Module):
             rng=self._rng,
             normalize_propagation=config.normalize_propagation,
         )
-
-    @property
-    def normalize_propagation(self) -> bool:
-        """The propagation normalization a collated batch must match."""
-        return self.config.normalize_propagation
 
     def collate(self, acfgs: Sequence[ACFG]) -> GraphBatch:
         """Merge raw ACFGs into a :class:`GraphBatch` this model accepts."""

@@ -248,7 +248,6 @@ def generate_mskcfg_dataset(
     total: int = 270,
     seed: int = 0,
     minimum_per_family: int = 4,
-    max_workers: int = 1,
 ) -> MalwareDataset:
     """Full pipeline: synthesize listings, run the MAGIC front end.
 
@@ -259,7 +258,7 @@ def generate_mskcfg_dataset(
     listings = generate_mskcfg_listings(
         total=total, seed=seed, minimum_per_family=minimum_per_family
     )
-    report = AcfgPipeline(max_workers=max_workers).extract_from_texts(listings)
+    report = AcfgPipeline().extract_from_texts(listings)
     if report.failures:
         failed = ", ".join(f.name for f in report.failures[:5])
         raise DatasetError(

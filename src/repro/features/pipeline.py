@@ -8,10 +8,12 @@ production corpus actually produces:
 
 * per-sample failures are classified into a structured taxonomy
   (:class:`FailureKind`) instead of aborting the batch;
-* a process-pool mode gives per-sample wall-clock timeouts and a
-  graph-size guard — a hung or pathological sample is killed and the
-  batch continues (threads cannot be cancelled, so the killable path
-  runs on :class:`~repro.workers.pool.ProcessWorkerPool`);
+* extraction runs inline, or — with several workers or a per-sample
+  wall-clock timeout — in supervised worker processes
+  (:class:`~repro.workers.pool.ProcessWorkerPool`), where a hung or
+  crashed sample is killed and the batch continues;
+* a graph-size guard fails pathological samples before they stall
+  attribute extraction;
 * a JSONL journal (one line per finished sample, torn-line tolerant)
   makes multi-hour runs SIGKILL-and-resumable;
 * failed inputs can be preserved in a quarantine directory for triage;
@@ -21,7 +23,6 @@ production corpus actually produces:
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import re
@@ -270,8 +271,8 @@ def execute_unit(
 
     Never raises: returns ``("ok", result)`` or
     ``("fail", kind_value, detail)``.  This is the single fault-isolation
-    boundary shared by the serial, thread, and process execution modes,
-    so every mode classifies identically.
+    boundary shared by the inline and process execution modes, so both
+    classify identically.
     """
     try:
         if ctx.fault_plan is not None:
@@ -313,14 +314,14 @@ class AcfgPipeline:
     Parameters
     ----------
     max_workers:
-        Worker count; ``1`` without ``use_processes`` runs inline, which
-        is the right choice for small corpora and deterministic tests.
-    use_processes:
-        Run workers in supervised child processes instead of threads.
-        Required for ``timeout`` (a hung thread cannot be cancelled; a
-        hung process is killed) and for surviving hard worker crashes.
+        Worker count.  ``1`` without ``timeout`` runs inline, which is
+        the right choice for small corpora and deterministic tests;
+        anything else runs supervised worker processes, which survive
+        hard worker crashes.
     timeout:
-        Per-sample wall-clock limit in seconds (process mode only).
+        Per-sample wall-clock limit in seconds.  A hung worker process
+        is killed and its sample fails; setting it runs the extraction
+        in worker processes even with ``max_workers=1``.
     max_vertices:
         Graph-size guard: samples whose CFG exceeds this vertex count
         fail with :attr:`FailureKind.OVERSIZE` instead of stalling
@@ -342,7 +343,6 @@ class AcfgPipeline:
         self,
         max_workers: int = 1,
         *,
-        use_processes: bool = False,
         timeout: Optional[float] = None,
         max_vertices: Optional[int] = None,
         journal_path: Optional[str] = None,
@@ -352,17 +352,8 @@ class AcfgPipeline:
     ) -> None:
         if max_workers < 1:
             raise MagicError(f"max_workers must be >= 1, got {max_workers}")
-        if timeout is not None:
-            if timeout <= 0:
-                raise ConfigurationError(
-                    f"timeout must be positive, got {timeout}"
-                )
-            if not use_processes:
-                raise ConfigurationError(
-                    "timeout requires use_processes=True: a hung thread "
-                    "cannot be cancelled, only a worker process can be "
-                    "killed"
-                )
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError(f"timeout must be positive, got {timeout}")
         if max_vertices is not None and max_vertices < 1:
             raise ConfigurationError(
                 f"max_vertices must be >= 1, got {max_vertices}"
@@ -370,7 +361,6 @@ class AcfgPipeline:
         if resume and journal_path is None:
             raise ConfigurationError("resume=True requires journal_path")
         self.max_workers = max_workers
-        self.use_processes = use_processes
         self.timeout = timeout
         self.max_vertices = max_vertices
         self.journal_path = journal_path
@@ -479,18 +469,16 @@ class AcfgPipeline:
             if index not in results and index not in failures
         ]
         try:
-            if self.use_processes:
+            if self.max_workers > 1 or self.timeout is not None:
                 ProcessWorkerPool(
                     worker, ctx, self.max_workers, timeout=self.timeout
                 ).run(pending, on_ok, on_fail)
-            elif self.max_workers == 1:
+            else:
                 for index, item in pending:
                     self._apply(
                         execute_unit(spec.fn, item, index, ctx),
                         index, on_ok, on_fail,
                     )
-            else:
-                self._run_threaded(spec, ctx, pending, on_ok, on_fail)
         finally:
             if journal is not None:
                 journal.close()
@@ -518,21 +506,6 @@ class AcfgPipeline:
             on_ok(index, payload[0])
         else:
             on_fail(index, payload[0], payload[1])
-
-    def _run_threaded(self, spec, ctx, pending, on_ok, on_fail) -> None:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
-            # Futures are keyed by input *index*, not sample name: names
-            # are caller-provided and may collide, and a name key would
-            # silently drop one result when two samples share a name.
-            futures = {
-                pool.submit(execute_unit, spec.fn, item, index, ctx): index
-                for index, item in pending
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                self._apply(future.result(), index, on_ok, on_fail)
 
     def _quarantine(
         self, spec: WorkerSpec, item: Tuple, failure: ExtractionFailure

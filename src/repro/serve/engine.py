@@ -59,7 +59,6 @@ from repro.similarity import (
     fingerprint_acfg,
 )
 from repro.testing.faults import FaultPlan
-from repro.train.batching import BatchCollator
 from repro.train.trainer import Trainer
 
 #: Default bound on the content-hash prediction cache.
@@ -150,8 +149,8 @@ class InferenceEngine:
         Bound on the content-hash prediction cache (``0`` disables all
         result caching, the similarity tier included).
     similar_threshold:
-        Estimated-Jaccard threshold for the similarity cache tier;
-        ``None`` (the default) keeps the tier off.  When set, a request
+        Estimated-Jaccard threshold for the similarity cache tier, in
+        ``(0, 1]``; ``None`` (the default) keeps the tier off.  When set, a request
         missing the exact cache is fingerprinted and may be served a
         near-duplicate's prediction, flagged ``similar``.
     fingerprint_iterations:
@@ -184,6 +183,11 @@ class InferenceEngine:
             )
         if cache_size < 0:
             raise ServeError(f"cache_size must be >= 0, got {cache_size}")
+        if similar_threshold is not None and not 0.0 < similar_threshold <= 1.0:
+            raise ServeError(
+                "similar_threshold must be in (0, 1], got "
+                f"{similar_threshold}"
+            )
         if fingerprint_iterations < 0:
             raise ServeError(
                 "fingerprint_iterations must be >= 0, got "
@@ -209,18 +213,6 @@ class InferenceEngine:
                 threshold=similar_threshold,
                 iterations=fingerprint_iterations,
                 max_entries=cache_size,
-            )
-        # GraphBatch-capable models collate every forward chunk afresh:
-        # only listings that missed the exact cache reach the forward,
-        # so a collate memo would almost never hit.  The collator stays
-        # for its call counters (``collator_stats``).
-        self._collator: Optional[BatchCollator] = None
-        if getattr(magic.model, "accepts_graph_batch", False):
-            self._collator = BatchCollator(
-                normalize_propagation=getattr(
-                    magic.model, "normalize_propagation", True
-                ),
-                max_entries=0,
             )
 
     # -- constructors over the registry -------------------------------
@@ -402,7 +394,7 @@ class InferenceEngine:
         identical to the plain path.
         """
         scaled = self.magic.scaler.transform(acfgs)
-        return Trainer.predict_proba(self.magic.model, scaled, collator=self._collator)
+        return Trainer.predict_proba(self.magic.model, scaled)
 
     def compile_stats(self) -> None:
         """Always ``None``: there is no compiled execution path.
@@ -411,15 +403,12 @@ class InferenceEngine:
         """
         return None
 
-    def collator_stats(self) -> Optional[Dict[str, int]]:
-        """Collate call counters (``None`` for raw-ACFG models)."""
-        if self._collator is None:
-            return None
-        return {
-            "hits": self._collator.hits,
-            "misses": self._collator.misses,
-            "entries": len(self._collator),
-        }
+    def collator_stats(self) -> None:
+        """Always ``None``: the model collates every forward chunk afresh.
+
+        Kept only for the benchmark harness, which still reads it.
+        """
+        return None
 
     def _from_cache(
         self, name: str, index: int, entry: _CacheEntry, cached: bool = True

@@ -6,11 +6,7 @@ from repro.train.analysis import (
     hardest_families,
     top_confusions,
 )
-from repro.train.batching import (
-    BatchCollator,
-    collate_graphs,
-    iterate_minibatches,
-)
+from repro.train.batching import iterate_minibatches
 from repro.train.cross_validation import (
     CrossValidationResult,
     FoldResult,
@@ -51,7 +47,6 @@ from repro.train.metrics import (
 from repro.train.trainer import Trainer, TrainingConfig, TrainingHistory
 
 __all__ = [
-    "BatchCollator",
     "ClassScores",
     "ClassificationReport",
     "ConfusionPair",
@@ -75,7 +70,6 @@ __all__ = [
     "amp_grid_from_ratio",
     "assemble_cv_result",
     "average_reports",
-    "collate_graphs",
     "confusion_matrix",
     "cross_validate",
     "cross_validate_config",

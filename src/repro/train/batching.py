@@ -1,19 +1,14 @@
-"""Mini-batch iteration and GraphBatch collation over ACFG lists.
+"""Mini-batch iteration over ACFG lists.
 
-Two layers: :func:`iterate_minibatches` picks *which* graphs form a
-minibatch (the paper's batch-mode SGD, Table II), and
-:class:`BatchCollator` turns that list into the
-:class:`~repro.core.batched.GraphBatch` the models consume — memoizing
-the merged operators across epochs, keyed by the identity of the graphs
-in the minibatch.  Validation and prediction revisit the same chunks
-every epoch, so their block-diagonal operators (and cached transposes)
-are assembled exactly once per run.
+:func:`iterate_minibatches` picks *which* graphs form a minibatch (the
+paper's batch-mode SGD, Table II).  The models collate each plain ACFG
+list into a :class:`~repro.core.batched.GraphBatch` themselves
+(``DgcnnBase.collate``), so every forward builds its batch afresh.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,74 +41,14 @@ def iterate_minibatches(
         yield [acfgs[i] for i in chunk]
 
 
-def collate_graphs(
-    acfgs: Sequence[ACFG], normalize_propagation: bool = True
-) -> "GraphBatch":
-    """Build a fresh :class:`GraphBatch` from a list of ACFGs."""
-    from repro.core.batched import GraphBatch
-
-    return GraphBatch(acfgs, normalize_propagation=normalize_propagation)
-
-
 class BatchCollator:
-    """Memoizing ACFG-list -> :class:`GraphBatch` collate layer.
+    """Name kept for the benchmark harness, which patches ``__call__``.
 
-    The cache key is the identity (``id``) of every graph in the
-    minibatch, in order, so two calls with the same objects — e.g. the
-    fixed validation chunks the trainer evaluates after every epoch —
-    return the *same* ``GraphBatch``, skipping the block-diagonal
-    assembly and transpose.  Cached entries hold strong references to
-    their ACFG tuples, which keeps the ids stable for the lifetime of
-    the entry.  The cache is bounded: shuffled training batches rarely
-    repeat, so old entries are evicted FIFO instead of growing without
-    limit.
-
-    Parameters
-    ----------
-    normalize_propagation:
-        Operator flavour for every batch this collator builds; must
-        match the consuming model's setting.
-    max_entries:
-        Cache bound; ``0`` disables memoization entirely.
+    Nothing in ``repro`` calls it: the models collate plain ACFG lists
+    themselves.  Calling it builds a fresh normalized ``GraphBatch``.
     """
 
-    def __init__(
-        self, normalize_propagation: bool = True, max_entries: int = 1024
-    ) -> None:
-        if max_entries < 0:
-            raise TrainingError(
-                f"max_entries must be >= 0, got {max_entries}"
-            )
-        self.normalize_propagation = normalize_propagation
-        self.max_entries = max_entries
-        self._cache: "OrderedDict[Tuple[int, ...], Tuple[Tuple[ACFG, ...], GraphBatch]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
+    def __call__(self, acfgs: Sequence[ACFG]) -> "GraphBatch":
+        from repro.core.batched import GraphBatch
 
-    def __call__(self, acfgs: Sequence[ACFG]) -> GraphBatch:
-        return self.collate(acfgs)
-
-    def collate(self, acfgs: Sequence[ACFG]) -> GraphBatch:
-        """Return the (possibly cached) ``GraphBatch`` for these graphs."""
-        if self.max_entries == 0:
-            self.misses += 1
-            return collate_graphs(acfgs, self.normalize_propagation)
-        key = tuple(id(acfg) for acfg in acfgs)
-        entry = self._cache.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        batch = collate_graphs(acfgs, self.normalize_propagation)
-        self._cache[key] = (tuple(acfgs), batch)
-        while len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
+        return GraphBatch(acfgs)

@@ -6,11 +6,10 @@ subset ... is used to evaluate the resultant model."  The per-epoch
 validation losses are averaged across folds and the minimum over epochs
 is the model's *score*, which hyper-parameter search compares.
 
-Every fold runs the batch-first execution path: ``Trainer`` collates
-minibatches into block-diagonal :class:`~repro.core.batched.GraphBatch`
-operators (memoized across epochs for the fixed validation chunks), so
-the 5-fold x many-epoch forward cost that dominates grid search runs at
-one sparse matmul per layer per batch.
+Every fold runs the batch-first execution path: the model collates
+each minibatch into block-diagonal :class:`~repro.core.batched.GraphBatch`
+operators, so the 5-fold x many-epoch forward cost that dominates grid
+search runs at one sparse matmul per layer per batch.
 
 The unit of work is one *fold*: :class:`FoldSpec` captures everything a
 fold needs (train/val indices, per-fold seed derivation, scaler policy,
@@ -169,14 +168,8 @@ def run_fold(
         )
     )
     history = trainer.train(model, train_acfgs, val_acfgs)
-    # Reuse the training run's collator: the fixed validation chunks it
-    # memoized for the per-epoch validation pass serve this final
-    # evaluation too, instead of being re-collated from scratch.
     report = Trainer.evaluate(
-        model,
-        val_acfgs,
-        family_names=dataset.family_names,
-        collator=trainer.last_collator,
+        model, val_acfgs, family_names=dataset.family_names
     )
     return FoldResult(fold_index=spec.fold_index, history=history, report=report)
 

@@ -11,7 +11,7 @@ selection criterion.
 
 Forward-pass throughput dominates the 208-setting x 5-fold sweep, so
 every evaluated setting trains on the batched sparse execution path
-(``GraphBatch`` collation inside ``Trainer``); there is no per-graph
+(``GraphBatch`` collation inside the model); there is no per-graph
 fallback to configure.
 """
 

@@ -22,22 +22,8 @@ from repro.nn.layers import Module
 from repro.nn.loss import nll_loss
 from repro.nn.lr_scheduler import ReduceLROnPlateau
 from repro.nn.optim import Adam
-from repro.train.batching import BatchCollator, iterate_minibatches
+from repro.train.batching import iterate_minibatches
 from repro.train.metrics import ClassificationReport, evaluate_predictions
-
-
-def _collator_for(model: Module) -> Optional[BatchCollator]:
-    """A memoizing collate layer when the model speaks GraphBatch.
-
-    DGCNN variants advertise ``accepts_graph_batch``; anything else (the
-    trainer stays generic over "batch-of-ACFGs" modules) keeps receiving
-    plain ACFG lists.
-    """
-    if not getattr(model, "accepts_graph_batch", False):
-        return None
-    return BatchCollator(
-        normalize_propagation=getattr(model, "normalize_propagation", True)
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,16 +152,15 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Trains one DGCNN (or any batch-of-ACFGs model) on labelled ACFGs."""
+    """Trains one DGCNN (or any batch-of-ACFGs model) on labelled ACFGs.
+
+    Every forward gets a plain ACFG list; the model collates it.
+    """
 
     def __init__(self, config: TrainingConfig) -> None:
         self.config = config
-        #: The memoizing collate layer of the most recent ``train`` run
-        #: (``None`` before training, or for models that consume raw ACFG
-        #: lists).  Post-training evaluation passes it back into
-        #: :meth:`evaluate` so the fixed validation chunks collate once
-        #: per fold instead of once per consumer.
-        self.last_collator: Optional[BatchCollator] = None
+        #: Always ``None``; kept only for the benchmark harness.
+        self.last_collator: None = None
         #: Always ``None``; kept only for the benchmark harness.
         self.last_compiled: None = None
 
@@ -214,10 +199,6 @@ class Trainer:
         best_state: Optional[Dict[str, np.ndarray]] = None
         instances_seen = 0
         train_time = 0.0
-        # One collator for the whole run: shuffled train batches mostly
-        # miss, but the fixed validation chunks hit on every epoch.
-        collator = _collator_for(model)
-        self.last_collator = collator
         adversarial = config.adversarial
 
         for epoch in range(config.epochs):
@@ -256,18 +237,9 @@ class Trainer:
                 # passes accumulated throwaway gradients into the model
                 # parameters, which must not leak into the real step.
                 optimizer.zero_grad()
-                # "is not None", not truthiness: an empty collator has
-                # __len__() == 0 and would read as False before its
-                # first entry is cached.
-                log_probs = model(
-                    collator(batch) if collator is not None else batch
-                )
-                loss = nll_loss(log_probs, labels)
+                loss = nll_loss(model(batch), labels)
                 if attacked is not None:
                     assert adversarial is not None
-                    # Attacked graphs are fresh objects every batch, so
-                    # they bypass the id-keyed collator memo and collate
-                    # directly inside the model.
                     adversarial_loss = nll_loss(model(attacked), labels)
                     loss = (
                         loss * (1.0 - adversarial.weight)
@@ -303,9 +275,7 @@ class Trainer:
             history.learning_rates.append(optimizer.lr)
 
             if validation_acfgs:
-                validation_loss = self.evaluate_loss(
-                    model, validation_acfgs, collator=collator
-                )
+                validation_loss = self.evaluate_loss(model, validation_acfgs)
                 history.validation_losses.append(validation_loss)
                 monitored = validation_loss
             else:
@@ -365,37 +335,25 @@ class Trainer:
         model: Module,
         acfgs: Sequence[ACFG],
         batch_size: int = 64,
-        collator: Optional[BatchCollator] = None,
     ) -> np.ndarray:
         """Class probabilities over ``acfgs`` (gradient-free, eval mode).
 
-        Chunks are collated into ``GraphBatch`` objects for models that
-        accept them; pass a shared ``collator`` to reuse merged operators
-        across repeated evaluations (the training loop does this for its
-        per-epoch validation pass).
+        The model sees ``batch_size`` graphs per forward.
         """
+        if not acfgs:
+            raise TrainingError("cannot predict on an empty dataset")
         model.train(False)
-        if collator is None:
-            collator = _collator_for(model)
-        chunks = []
-        for start in range(0, len(acfgs), batch_size):
-            batch = list(acfgs[start : start + batch_size])
-            log_probs = model(
-                collator(batch) if collator is not None else batch
-            )
-            chunks.append(np.exp(log_probs.data))
+        chunks = [
+            np.exp(model(list(acfgs[start : start + batch_size])).data)
+            for start in range(0, len(acfgs), batch_size)
+        ]
         return np.concatenate(chunks, axis=0)
 
     @classmethod
-    def evaluate_loss(
-        cls,
-        model: Module,
-        acfgs: Sequence[ACFG],
-        collator: Optional[BatchCollator] = None,
-    ) -> float:
+    def evaluate_loss(cls, model: Module, acfgs: Sequence[ACFG]) -> float:
         """Mean NLL of the true labels under the model."""
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
-        probabilities = cls.predict_proba(model, acfgs, collator=collator)
+        probabilities = cls.predict_proba(model, acfgs)
         eps = 1e-15
         picked = np.clip(probabilities[np.arange(len(labels)), labels], eps, 1.0)
         return float(-np.log(picked).mean())
@@ -406,16 +364,10 @@ class Trainer:
         model: Module,
         acfgs: Sequence[ACFG],
         family_names: Optional[Sequence[str]] = None,
-        collator: Optional[BatchCollator] = None,
     ) -> ClassificationReport:
-        """Full precision/recall/F1/accuracy/log-loss report.
-
-        Pass the trainer's ``last_collator`` to reuse the validation
-        chunks' memoized ``GraphBatch`` operators instead of
-        re-collating them.
-        """
+        """Full precision/recall/F1/accuracy/log-loss report."""
         labels = np.array([acfg.label for acfg in acfgs], dtype=np.int64)
-        probabilities = cls.predict_proba(model, acfgs, collator=collator)
+        probabilities = cls.predict_proba(model, acfgs)
         return evaluate_predictions(
             labels,
             probabilities,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.adv import AttackConfig, FeatureSpaceAttack, input_gradients
+from repro.core.dgcnn import ModelConfig, build_model
 from repro.exceptions import ConfigurationError
 from repro.features.validator import is_semantically_valid
 
@@ -147,3 +148,23 @@ class TestFeatureSpaceAttack:
                 outcome.adversarial_acfgs, other.adversarial_acfgs
             )
         )
+
+    def test_raw_adjacency_model(self, tiny_magic, tiny_mskcfg):
+        # Eq. 1 ablation: the attack must collate batches the way the
+        # model propagates, with the raw adjacency instead of D^-1 A.
+        raw = build_model(ModelConfig(
+            num_attributes=11,
+            num_classes=tiny_mskcfg.num_classes,
+            pooling="sort_weighted",
+            graph_conv_sizes=(8, 8),
+            sort_k=4,
+            hidden_size=8,
+            dropout=0.0,
+            seed=0,
+            normalize_propagation=False,
+        ))
+        acfgs = tiny_mskcfg.acfgs[:6]
+        outcome = FeatureSpaceAttack(
+            raw, tiny_magic.scaler, AttackConfig(epsilon=1.0, steps=2, seed=7)
+        ).attack(acfgs)
+        assert len(outcome.records) == len(acfgs)

@@ -16,7 +16,6 @@ from repro.nn import functional as F
 from repro.nn.loss import nll_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
-from repro.train.batching import BatchCollator
 
 from tests.conftest import dense_acfg
 
@@ -222,21 +221,3 @@ class TestBatchedEqualsReference:
         for name, param in model.named_parameters():
             assert param.grad is not None, f"no grad for {name}"
 
-
-class TestCollatorEquivalence:
-    def test_memoized_collate_identical_to_fresh_build(self, rng):
-        """A cache hit must return results identical to a fresh build."""
-        model = build_model(small_config("adaptive"))
-        model.eval()
-        acfgs = [random_acfg(rng, n) for n in (4, 6, 3)]
-        collator = BatchCollator()
-
-        fresh = GraphBatch(acfgs)
-        first = collator(acfgs)
-        second = collator(acfgs)
-        assert second is first  # memoized across calls (epochs)
-        assert collator.hits == 1 and collator.misses == 1
-
-        np.testing.assert_array_equal(
-            model(second).data, model(fresh).data
-        )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dgcnn import ModelConfig
 from repro.core.magic import Magic
-from repro.exceptions import ConfigurationError, MagicError
+from repro.exceptions import ConfigurationError, MagicError, TrainingError
 from repro.train.trainer import TrainingConfig
 
 from tests.conftest import SAMPLE_ASM
@@ -74,6 +74,10 @@ class TestTrainPredict:
         np.testing.assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-9)
         predictions = trained_magic.predict(tiny_mskcfg.acfgs[:5])
         assert predictions.shape == (5,)
+
+    def test_predict_empty_rejected(self, trained_magic):
+        with pytest.raises(TrainingError, match="empty"):
+            trained_magic.predict_proba([])
 
     def test_predict_family_names(self, trained_magic, tiny_mskcfg):
         families = trained_magic.predict_family(tiny_mskcfg.acfgs[:3])

@@ -14,6 +14,7 @@ from repro.datasets.mskcfg import (
 )
 from repro.datasets.synthetic_asm import ObfuscationKnobs
 from repro.exceptions import DatasetError
+from repro.features.pipeline import AcfgPipeline
 
 
 class TestFamilyTable:
@@ -75,8 +76,10 @@ class TestDatasetGeneration:
         assert max(means) > 2 * min(means)
 
     def test_parallel_extraction_matches(self):
-        sequential = generate_mskcfg_dataset(total=20, seed=9, max_workers=1)
-        parallel = generate_mskcfg_dataset(total=20, seed=9, max_workers=4)
+        sequential = generate_mskcfg_dataset(total=20, seed=9)
+        parallel = AcfgPipeline(max_workers=2).extract_from_texts(
+            generate_mskcfg_listings(total=20, seed=9)
+        )
         assert [a.name for a in sequential.acfgs] == [a.name for a in parallel.acfgs]
 
 

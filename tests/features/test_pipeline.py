@@ -93,12 +93,20 @@ class TestParallelExtraction:
 
 class TestConfigurationValidation:
     def test_timeout_requires_processes(self):
-        with pytest.raises(ConfigurationError, match="use_processes"):
-            AcfgPipeline(max_workers=2, timeout=1.0)
+        """A timeout runs even one worker as a killable process."""
+        plan = FaultPlan.build(hang_on=[1], hang_seconds=60.0)
+        samples = [GOOD, ("hung", SAMPLE_ASM, 1)]
+        report = AcfgPipeline(
+            max_workers=1, timeout=1.0, fault_plan=plan
+        ).extract_from_texts(samples)
+        assert [a.name for a in report.acfgs] == ["good"]
+        (failure,) = report.failures
+        assert failure.kind is FailureKind.TIMEOUT
+        assert failure.index == 1
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="positive"):
-            AcfgPipeline(use_processes=True, timeout=0.0)
+            AcfgPipeline(timeout=0.0)
 
     def test_resume_requires_journal(self):
         with pytest.raises(ConfigurationError, match="journal_path"):
@@ -123,7 +131,7 @@ class TestDuplicateNames:
     @pytest.mark.parametrize("workers", [
         dict(max_workers=1),
         dict(max_workers=4),
-        dict(max_workers=2, use_processes=True),
+        dict(max_workers=2),
     ])
     def test_duplicate_names_all_extracted(self, workers):
         samples = [("dup", SAMPLE_ASM, i) for i in range(4)]
@@ -134,7 +142,7 @@ class TestDuplicateNames:
     @pytest.mark.parametrize("workers", [
         dict(max_workers=1),
         dict(max_workers=3),
-        dict(max_workers=2, use_processes=True),
+        dict(max_workers=2),
     ])
     def test_duplicate_names_with_failures(self, workers):
         samples = [
@@ -158,7 +166,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("workers", [
         dict(max_workers=1),
         dict(max_workers=2),
-        dict(max_workers=2, use_processes=True),
+        dict(max_workers=1, timeout=30.0),
     ])
     def test_injected_raise_is_unexpected(self, workers):
         plan = FaultPlan.build(raise_on=[2])
@@ -173,7 +181,7 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("workers", [
         dict(max_workers=1),
-        dict(max_workers=2, use_processes=True),
+        dict(max_workers=2),
     ])
     def test_injected_corrupt_output_rejected(self, workers):
         plan = FaultPlan.build(corrupt_on=[1])
@@ -188,7 +196,7 @@ class TestFaultInjection:
     def test_injected_hang_killed_by_timeout(self):
         plan = FaultPlan.build(hang_on=[0], hang_seconds=60.0)
         report = AcfgPipeline(
-            max_workers=2, use_processes=True, timeout=1.0, fault_plan=plan
+            max_workers=2, timeout=1.0, fault_plan=plan
         ).extract_from_texts(self.samples())
         (failure,) = report.failures
         assert failure.kind is FailureKind.TIMEOUT
@@ -198,7 +206,7 @@ class TestFaultInjection:
     def test_injected_crash_detected(self):
         plan = FaultPlan.build(crash_on=[3])
         report = AcfgPipeline(
-            max_workers=2, use_processes=True, fault_plan=plan
+            max_workers=2, fault_plan=plan
         ).extract_from_texts(self.samples())
         (failure,) = report.failures
         assert failure.kind is FailureKind.CRASH
@@ -215,16 +223,14 @@ class TestProcessPool:
         samples = [(f"s{i}", SAMPLE_ASM, i % 3) for i in range(9)]
         samples[4] = EMPTY
         serial = AcfgPipeline().extract_from_texts(samples)
-        pooled = AcfgPipeline(
-            max_workers=3, use_processes=True
-        ).extract_from_texts(samples)
+        pooled = AcfgPipeline(max_workers=3).extract_from_texts(samples)
         assert_reports_equal(serial, pooled)
 
     def test_oversize_guard(self):
         big = extraction_scenario.chain_listing(40)
         samples = [GOOD, ("big", big, 1), ("tail", SAMPLE_ASM, 2)]
         report = AcfgPipeline(
-            max_workers=2, use_processes=True, max_vertices=20
+            max_workers=2, max_vertices=20
         ).extract_from_texts(samples)
         assert [a.name for a in report.acfgs] == ["good", "tail"]
         (failure,) = report.failures
@@ -244,7 +250,7 @@ class TestProcessPool:
         plan = FaultPlan.build(raise_on=[1, 4], crash_on=[6])
         samples = [(f"s{i}", SAMPLE_ASM, i % 3) for i in range(8)]
         report = AcfgPipeline(
-            max_workers=3, use_processes=True, fault_plan=plan
+            max_workers=3, fault_plan=plan
         ).extract_from_texts(samples)
         assert [a.name for a in report.acfgs] == ["s0", "s2", "s3", "s5", "s7"]
         assert [f.index for f in report.failures] == [1, 4, 6]
@@ -256,7 +262,7 @@ class TestProcessPool:
 class TestJournalResume:
     def run(self, samples, **kwargs):
         return AcfgPipeline(
-            max_workers=2, use_processes=True, **kwargs
+            max_workers=2, **kwargs
         ).extract_from_texts(samples)
 
     def samples(self):
@@ -367,9 +373,7 @@ class TestCfgIngestion:
             (build_cfg_from_text(SAMPLE_ASM, name=f"pre{i}"), i)
             for i in range(4)
         ]
-        report = AcfgPipeline(
-            max_workers=2, use_processes=True
-        ).extract_from_cfgs(cfgs)
+        report = AcfgPipeline(max_workers=2).extract_from_cfgs(cfgs)
         assert report.num_succeeded == 4
         assert [a.label for a in report.acfgs] == [0, 1, 2, 3]
 

@@ -123,6 +123,17 @@ class TestPredictionCache:
         assert not engine.classify_text(text, name=name).cached
         assert engine.cache_info() == {"entries": 0, "bound": 0}
 
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    @pytest.mark.parametrize("threshold", [7.0, -1.0, 0.0])
+    def test_similar_threshold_out_of_range_rejected(
+        self, registry_root, cache_size, threshold
+    ):
+        with pytest.raises(ServeError, match="similar_threshold"):
+            InferenceEngine.from_registry(
+                registry_root, MODEL_NAME, cache_size=cache_size,
+                similar_threshold=threshold,
+            )
+
 
 class TestFaultIsolation:
     def test_malformed_sample_does_not_poison_neighbors(
@@ -234,14 +245,3 @@ class TestForwardPath:
             for result, row in zip(engine.classify_texts(texts), direct):
                 assert result.label == int(row.argmax())
                 np.testing.assert_array_equal(result.probabilities, row)
-
-    def test_collator_counts_every_forward_chunk(
-        self, registry_root, listing_samples
-    ):
-        engine = InferenceEngine.from_registry(
-            registry_root, MODEL_NAME, cache_size=0
-        )
-        engine.classify_texts(listing_samples[:3])
-        engine.classify_texts(listing_samples[:3])
-        # No collate memo: each forward chunk is collated afresh.
-        assert engine.collator_stats() == {"hits": 0, "misses": 2, "entries": 0}

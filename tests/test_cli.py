@@ -264,6 +264,16 @@ class TestClassify:
         assert info["threshold"] == pytest.approx(0.45)
         assert info["iterations"] == 2
 
+    def test_similar_threshold_out_of_range_rejected_without_cache(
+        self, published, listing_file, capsys
+    ):
+        registry, _ = published
+        capsys.readouterr()
+        assert main(["classify", "--registry", registry, "--model", "demo",
+                     "--cache-size", "0", "--similar-threshold", "7",
+                     listing_file]) == 2
+        assert "similar_threshold must be in (0, 1]" in capsys.readouterr().err
+
     def test_similar_hits_are_flagged_in_the_output(
         self, published, tmp_path, capsys, monkeypatch
     ):

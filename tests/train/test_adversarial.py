@@ -5,6 +5,7 @@ import pytest
 
 import repro.train.trainer as trainer_module
 from repro.adv.attack import perturb_batch_scaled
+from repro.core.dgcnn import ModelConfig, build_model
 from repro.exceptions import TrainingDivergedError, TrainingError
 from repro.features.attributes import attribute_names
 from repro.features.scaling import AttributeScaler
@@ -62,6 +63,25 @@ class TestAdversarialTraining:
         ).train(small_model(), acfgs)
         defended = Trainer(adversarial_config()).train(small_model(), acfgs)
         assert clean.train_losses != defended.train_losses
+
+    def test_raw_adjacency_model(self, rng):
+        # The inner attack collates with the model's own propagation
+        # setting, so the Eq. 1 raw-adjacency ablation trains too.
+        acfgs = AttributeScaler().fit_transform(toy_dataset(rng))
+        raw = build_model(ModelConfig(
+            num_attributes=11,
+            num_classes=2,
+            pooling="sort_weighted",
+            graph_conv_sizes=(8, 8),
+            sort_k=4,
+            hidden_size=8,
+            dropout=0.0,
+            seed=0,
+            normalize_propagation=False,
+        ))
+        history = Trainer(adversarial_config(epochs=1)).train(raw, acfgs)
+        assert history.num_epochs == 1
+        assert np.isfinite(history.train_losses[0])
 
     def test_divergent_inner_attack_halts(self, rng, monkeypatch):
         acfgs = AttributeScaler().fit_transform(toy_dataset(rng))

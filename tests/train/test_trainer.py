@@ -1,8 +1,11 @@
 """Tests for the training loop."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.core.batched import GraphBatch
 from repro.core.dgcnn import ModelConfig, build_model
 from repro.exceptions import TrainingError
 from repro.features.scaling import AttributeScaler
@@ -104,6 +107,14 @@ class TestTrainer:
             losses.append(history.train_losses)
         np.testing.assert_allclose(losses[0], losses[1])
 
+    def test_no_graph_batch_outlives_training(self, rng):
+        acfgs = AttributeScaler().fit_transform(toy_dataset(rng, n_per_class=4))
+        trainer = Trainer(TrainingConfig(epochs=2, batch_size=3))
+        trainer.train(small_model(), acfgs[:6], acfgs[6:])
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, GraphBatch)]
+        assert alive == []
+
 
 class TestEvaluation:
     def test_predict_proba_batched_consistently(self, rng):
@@ -118,3 +129,12 @@ class TestEvaluation:
         report = Trainer.evaluate(small_model(), acfgs, family_names=["a", "b"])
         assert report.family_names == ["a", "b"]
         assert report.confusion.sum() == len(acfgs)
+
+    @pytest.mark.parametrize("evaluate", [
+        Trainer.predict_proba,
+        Trainer.evaluate_loss,
+        Trainer.evaluate,
+    ])
+    def test_empty_input_rejected(self, evaluate):
+        with pytest.raises(TrainingError, match="empty"):
+            evaluate(small_model(), [])
